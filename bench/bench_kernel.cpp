@@ -8,10 +8,10 @@
 // means for the simulator itself.
 //
 // Cases:
-//   ChainNear     self-rescheduling tickers with small deltas (timing-wheel
-//                 territory: the steady-state shape of coroutine wakeups)
-//   ChainFar      deltas beyond the wheel horizon (binary-heap territory)
-//   ChainMixed    half near / half far
+//   ChainNear     self-rescheduling tickers with small deltas (1-1000
+//                 ticks: the steady-state shape of coroutine wakeups)
+//   ChainFar      deltas of 8-64 Ki ticks (up to ~10 clock periods)
+//   ChainMixed    half near / half 16 Ki ticks further out
 //   Burst         bulk schedule of N events, then drain (push/pop bound)
 //   MailboxPosts  cross-domain post() + injection + dispatch
 //
@@ -74,7 +74,7 @@ double run_chains(sim::Tick lo, sim::Tick hi, sim::Tick far_every) {
   for (int c = 0; c < kChains; ++c) {
     sim::Tick delta = lo + static_cast<sim::Tick>(rng.next() % (hi - lo));
     if (far_every != 0 && c % 2 == 1) {
-      delta += far_every;  // alternate chains live beyond the wheel horizon
+      delta += far_every;  // alternate chains schedule further ahead
     }
     k.schedule(delta, Ticker{&k, per_chain, delta});
   }

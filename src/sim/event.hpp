@@ -4,22 +4,16 @@
 // broken by insertion sequence number, which makes every simulation run
 // fully deterministic for a given program.
 //
-// Two-level structure (see DESIGN.md §11). The near future — the next
-// kBuckets * kBucketTicks ticks — lives in a calendar wheel: kBuckets
-// power-of-two-sized buckets, each covering kBucketTicks ticks. Buckets
-// stay sorted by (tick, seq): pushes in monotone time order (the common
-// case) append, everything else splices in by binary search over a
-// handful of entries. Everything beyond the horizon goes
-// to a binary heap. pop() compares the wheel front against the heap top
-// under the same (tick, seq) key, so events that entered the heap while
-// far away and events that entered the wheel interleave in exactly the
-// order a single heap would have produced — dispatch order, and therefore
-// every stat, trace span and fault draw, is bit-identical to the old
-// single-heap queue.
+// One 4-ary min-heap of 24-byte (tick, seq, slot) keys (see DESIGN.md
+// §11.2). The callbacks live in a slab indexed by slot and recycled
+// through a free list, so sifting moves keys, never callbacks, and the
+// queue's memory is proportional to the peak number of pending events.
+// (tick, seq) is unique among live events, so dispatch order — and
+// therefore every stat, trace span and fault draw — does not depend on
+// the heap's layout.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "sim/inline_func.hpp"
@@ -34,25 +28,6 @@ namespace sv::sim {
 class EventQueue {
  public:
   using Callback = InlineFunc;
-
-  /// Wheel geometry. kBucketTicks is a compromise forced by Tick = 1 ps:
-  /// the machine's clock periods are 6000-15000 ticks, so a one-tick
-  /// bucket wheel covering "the next 4K ticks" would hold almost nothing.
-  /// 16-tick buckets with 4096 of them put the horizon at 64K ticks
-  /// (~65 ns), which empirically captures ~85-90% of scheduled events; the
-  /// rest ride the far heap, which pop() consults anyway (DESIGN.md §11).
-  /// Narrow buckets keep per-bucket occupancy near one event, so the lazy
-  /// tail sort in front_bucket() almost never runs — with 64-tick buckets
-  /// it fired once per ~6 events and profiled at a quarter of dispatch.
-  /// 4096 buckets make the occupancy bitmap exactly 64 words under one
-  /// 64-bit summary word: finding the next non-empty bucket is two bit
-  /// scans.
-  static constexpr std::size_t kBuckets = 4096;  // power of two
-  static constexpr unsigned kBucketShift = 4;    // 16 ticks per bucket
-  static constexpr Tick kBucketTicks = Tick{1} << kBucketShift;
-  static constexpr Tick kHorizonTicks = kBuckets * kBucketTicks;
-
-  EventQueue();
 
   /// Schedule `fn` to run at absolute time `when`. `when` must be >= the
   /// current floor (the last popped/advanced time) — the kernel's
@@ -77,20 +52,16 @@ class EventQueue {
   void push_at_seq(Tick when, std::uint64_t seq, Callback fn);
 
   /// True when no events remain.
-  [[nodiscard]] bool empty() const { return wheel_count_ == 0 && heap_.empty(); }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
-  [[nodiscard]] std::size_t size() const {
-    return wheel_count_ + heap_.size();
-  }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Time of the earliest pending event. Precondition: !empty().
-  [[nodiscard]] Tick next_time() const;
+  [[nodiscard]] Tick next_time() const { return heap_.front().when; }
 
   /// Remove and return the earliest event. Precondition: !empty().
-  /// Returning {when, seq, fn} together spares the caller a second
-  /// traversal (the old next_time() + pop() pair walked the heap top
-  /// twice); seq is the dispatch tie-break key the fast-path revocation
-  /// protocol compares phase keys against.
+  /// seq is the dispatch tie-break key the fast-path revocation protocol
+  /// compares phase keys against.
   struct Popped {
     Tick when;
     std::uint64_t seq;
@@ -100,14 +71,12 @@ class EventQueue {
 
   /// pop(), but only if the earliest event is at or before `bound`;
   /// otherwise returns {kTickInvalid, empty} and leaves the queue intact.
-  /// One traversal where the kernel's next_time()-compare-then-pop() pair
-  /// would locate the front twice per dispatched event.
   Popped try_pop(Tick bound);
 
   /// Raise the queue's notion of "no event can be scheduled before this".
-  /// Called by the kernel whenever simulated time advances, so the wheel
-  /// window tracks now() even across idle jumps (run_until past the last
-  /// event). Never un-advances.
+  /// Called by the kernel whenever simulated time advances, so the floor
+  /// tracks now() even across idle jumps (run_until past the last event);
+  /// ckpt_save() records it. Never un-advances.
   void advance(Tick now) {
     if (now > floor_) {
       floor_ = now;
@@ -130,89 +99,35 @@ class EventQueue {
   void ckpt_save(ckpt::Writer& w) const;
 
  private:
-  struct Rec {
+  /// Heap entry: the ordering key plus the index of its callback in
+  /// slab_. A sift step moves these 24 bytes, not the 64-byte callback.
+  struct Key {
     Tick when;
     std::uint64_t seq;
-    Callback fn;
+    std::uint32_t slot;
   };
 
-  /// Far-heap entry: 24 bytes of ordering key plus a slot index into
-  /// far_slab_. The heap's sift operations move these instead of 80-byte
-  /// Recs — the callback itself moves exactly twice (in at push, out at
-  /// pop) however deep the heap gets.
-  struct HeapRec {
-    Tick when;
-    std::uint64_t seq;
-    std::uint32_t idx;
-
-    bool operator>(const HeapRec& o) const {
-      return when != o.when ? when > o.when : seq > o.seq;
-    }
-  };
-
-  struct Bucket {
-    std::vector<Rec> items;
-    std::uint32_t head = 0;   // items[0..head) already dispatched
-    bool unsorted = false;    // pending tail [head..) needs a sort pass
-  };
-
-  static constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
-
-  [[nodiscard]] static std::size_t bucket_index(Tick when) {
-    return (when >> kBucketShift) & (kBuckets - 1);
+  /// (when, seq) as one 128-bit integer, so comparisons compile to a
+  /// branch-free compare-and-borrow.
+  [[nodiscard]] static unsigned __int128 order(const Key& k) {
+    return (static_cast<unsigned __int128>(k.when) << 64) | k.seq;
   }
-  [[nodiscard]] bool in_window(Tick when) const {
-    return ((when >> kBucketShift) - (floor_ >> kBucketShift)) < kBuckets;
+  [[nodiscard]] static bool before(const Key& a, const Key& b) {
+    return order(a) < order(b);
   }
 
-  void set_bit(std::size_t b) {
-    occ_[b >> 6] |= std::uint64_t{1} << (b & 63);
-    summary_ |= std::uint64_t{1} << (b >> 6);
-  }
-  void clear_bit(std::size_t b) {
-    occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    if (occ_[b >> 6] == 0) {
-      summary_ &= ~(std::uint64_t{1} << (b >> 6));
-    }
-  }
+  /// Write `k` into the hole at heap_[i], moving it up past later parents.
+  void sift_up(std::size_t i, const Key& k);
+  /// Remove heap_[0] and restore the heap property.
+  void pop_front();
 
-  /// Index of the earliest non-empty bucket (circular scan from the
-  /// floor's bucket). Precondition: wheel_count_ > 0.
-  [[nodiscard]] std::size_t scan_from_floor() const;
-
-  /// The wheel's earliest bucket, sorted and cached. Precondition:
-  /// wheel_count_ > 0.
-  Bucket& front_bucket() const;
-
-  /// Sort a bucket's pending tail by (when, seq). Large tails sort
-  /// lightweight keys and permute, so 80-byte records move only twice.
-  void sort_pending(Bucket& b) const;
-
-  struct SortKey {
-    Tick when;
-    std::uint64_t seq;
-    std::uint32_t idx;
-  };
-
-  // Wheel state. Mutable because locating/sorting the front bucket is a
-  // cache fill, not an observable mutation (next_time() stays const).
-  mutable std::vector<Bucket> buckets_;
-  mutable std::uint32_t cur_bucket_ = kNoBucket;
-  // Scratch for sort_pending (reused, so steady-state sorts don't allocate
-  // once warm).
-  mutable std::vector<SortKey> keys_;
-  mutable std::vector<Rec> scratch_;
-  // Two-level occupancy bitmap: bit g of summary_ set iff occ_[g] != 0.
-  std::uint64_t occ_[kBuckets / 64] = {};
-  std::uint64_t summary_ = 0;
-  std::size_t wheel_count_ = 0;
+  /// 4-ary min-heap by (when, seq): the children of i are 4i+1 .. 4i+4.
+  std::vector<Key> heap_;
+  /// Callback storage, recycled through free_ so the steady state
+  /// allocates nothing (tests/alloc_hook_test.cpp).
+  std::vector<Callback> slab_;
+  std::vector<std::uint32_t> free_;
   Tick floor_ = 0;
-
-  std::priority_queue<HeapRec, std::vector<HeapRec>, std::greater<>> heap_;
-  /// Callback storage for heap entries, recycled through far_free_ so the
-  /// steady state allocates nothing (alloc_hook_test).
-  std::vector<Callback> far_slab_;
-  std::vector<std::uint32_t> far_free_;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -52,7 +52,7 @@ class InlineFunc {
     // Most captures are a few pointers and integers: trivially copyable,
     // trivially destructible. Those keep manage_ == nullptr and relocate
     // by plain memcpy with nothing to destroy — no indirect call per
-    // queue move, which the wheel/heap do several times per event.
+    // queue move (each event moves in at push and out at pop).
     if constexpr (!(std::is_trivially_copyable_v<D> &&
                     std::is_trivially_destructible_v<D>)) {
       manage_ = [](void* dst, void* src) {

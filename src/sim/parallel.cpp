@@ -142,7 +142,7 @@ void ParallelKernel::quiesce() {
   for (Kernel* d : domains_) {
     if (d->now() < now_) {
       // Parked domains are idle by construction, so this only advances
-      // the clock and the event wheel — no events can run.
+      // the clock and the event queue's floor — no events can run.
       d->run_until(now_);
     }
   }

@@ -100,7 +100,7 @@ class ParallelKernel {
   /// Advance every parked domain's local clock to now(). Call at a
   /// barrier before inspecting per-domain state that depends on the
   /// clock (checkpoint capture does, via run_epochs_until): parked
-  /// domains are idle, so this is a pure clock/wheel catch-up with no
+  /// domains are idle, so this is a pure clock/queue-floor catch-up with no
   /// events to run. Idempotent.
   void quiesce();
 

@@ -3,12 +3,12 @@
 // This binary replaces the global operator new/delete with counting
 // versions (DESIGN.md §11). Each test warms the relevant path up — letting
 // coroutine frames seed the FramePool freelists, PacketPool slots get
-// created, event-queue buckets reach steady occupancy — then snapshots the
-// allocation counter across a steady-state window and requires it not to
-// move. Any regression that reintroduces a heap allocation per event
-// dispatch or per packet hop (an oversized lambda falling back to
-// std::function, a payload growing a vector again, a coroutine frame
-// missing the pool) fails here with an exact count.
+// created, the event queue's heap and callback slab reach their peak
+// depth — then snapshots the allocation counter across a steady-state
+// window and requires it not to move. Any regression that reintroduces a
+// heap allocation per event dispatch or per packet hop (an oversized
+// lambda falling back to std::function, a payload growing a vector again,
+// a coroutine frame missing the pool) fails here with an exact count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -75,7 +75,7 @@ struct Ticker {
 
 TEST(AllocHook, EventDispatchIsAllocationFree) {
   sim::Kernel k;
-  // Warmup: grows the wheel's bucket vectors to steady occupancy.
+  // Warmup: grows the event heap and callback slab to the chain's depth.
   k.schedule(1, Ticker{&k, 10'000, 100});
   k.run();
 
@@ -88,8 +88,8 @@ TEST(AllocHook, EventDispatchIsAllocationFree) {
 
 TEST(AllocHook, FarEventsUseOnlyTheWarmHeap) {
   sim::Kernel k;
-  // Far-future deltas (beyond the wheel horizon) go through the binary
-  // heap; after warmup its backing vector no longer grows.
+  // Far-future deltas (a microsecond, ~100 clock periods) leave the same
+  // one-event depth as near ones: after warmup nothing grows.
   k.schedule(1, Ticker{&k, 10'000, 1'000'000});
   k.run();
 
@@ -172,12 +172,11 @@ TEST(AllocHook, IdealNetworkSteadyStateIsAllocationFree) {
 // state the fast-path layer (DESIGN.md §12) optimizes. Unlike the bare
 // kernel paths above, the functional model is not yet allocation-FREE:
 // after warmup, the known remaining allocators are (a) one payload-vector
-// allocation per received basic message (msg::Message::data), (b) a
+// allocation per received basic message (msg::Message::data) and (b) a
 // std::deque<net::Packet> block node every handful of packets in the NIU
-// tx and router output queues, and (c) a slowly decaying trickle of
-// event-wheel buckets reaching new occupancy maxima. All are per-MESSAGE
-// or rarer — measured ~500 per 16 KiB transfer (~190 basic messages), and
-// this workload dispatches ~30k events per transfer. The bound below
+// tx and router output queues. Both are per-MESSAGE or rarer — measured
+// ~390 per 16 KiB transfer (~190 basic messages), and this workload
+// dispatches ~30k events per transfer. The bound below
 // therefore still fails loudly on any per-event or per-packet-hop
 // regression (which would add >= 30k allocations per transfer) while
 // pinning the per-message costs so they cannot silently multiply.
@@ -188,8 +187,7 @@ TEST(AllocHook, Fig4MsgWorkloadSteadyStateAllocationsBounded) {
   xfer::TransferSpec spec;
   spec.len = 16384;
 
-  // Warmup: reach steady pool/bucket occupancy (the bucket-growth trickle
-  // decays over the first several transfers).
+  // Warmup: reach steady pool occupancy and event-queue depth.
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(harness.run(1, spec).ok);
   }
@@ -198,9 +196,9 @@ TEST(AllocHook, Fig4MsgWorkloadSteadyStateAllocationsBounded) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(harness.run(1, spec).ok);
   }
-  // Measured: ~1550 over the 3-transfer window (~515 per transfer, ~2.7
+  // Measured: 1158 over the 3-transfer window (~386 per transfer, ~2.0
   // per delivered message). The ceiling leaves ~35% noise headroom.
-  EXPECT_LT(allocs() - before, 2100u)
+  EXPECT_LT(allocs() - before, 1560u)
       << "a warm fig4-style messaging transfer allocated far beyond the "
          "known per-message sources (payload vectors, packet-deque nodes)";
 }

@@ -1,9 +1,11 @@
 // Unit tests for the simulation kernel: event ordering, coroutines,
 #include <bit>
+#include <set>
 #include <sstream>
 // synchronization primitives, statistics, configuration, PRNG.
 #include <gtest/gtest.h>
 
+#include "ckpt/io.hpp"
 #include "sim/config.hpp"
 #include "sim/coro.hpp"
 #include "sim/kernel.hpp"
@@ -25,67 +27,79 @@ TEST(EventQueue, OrdersByTimeThenSequence) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(EventQueue, EqualTickFifoAcrossWheelAndHeap) {
-  // Two events at the same tick, one scheduled while the tick was beyond
-  // the wheel horizon (heap) and one after it came inside (wheel), must
-  // still pop in insertion order — the (tick, seq) key spans both levels.
+TEST(EventQueue, EqualTickFifoAcrossEarlyAndLatePushes) {
+  // Events at one tick, some pushed long before it (while the queue held
+  // earlier work) and some pushed after time had advanced close to it,
+  // must pop in insertion order: the (tick, seq) key is the only order.
   EventQueue q;
   std::vector<int> order;
-  const Tick t = EventQueue::kHorizonTicks + 100;
-  q.push(t, [&] { order.push_back(0); });      // beyond horizon: heap
+  const Tick t = 1'000'000'000;
+  q.push(t, [&] { order.push_back(0); });      // early
   q.push(1, [&] { order.push_back(-1); });
-  EXPECT_EQ(q.pop().when, 1u);                 // floor advances past 1
+  for (Tick d : {Tick{7}, Tick{500}, t - 1, t + 1}) {
+    q.push(d, [] {});                          // churn around the front
+  }
+  EXPECT_EQ(q.pop().when, 1u);
   order.clear();
-  q.push(t, [&] { order.push_back(1); });      // still beyond: heap
-  q.advance(200);                              // t now inside the window
-  q.push(t, [&] { order.push_back(2); });      // wheel
-  q.push(t, [&] { order.push_back(3); });      // wheel
-  while (!q.empty()) {
-    EXPECT_EQ(q.next_time(), t);
+  q.push(t, [&] { order.push_back(1); });      // still early
+  while (q.next_time() < t) {
+    q.pop().fn();
+  }
+  q.advance(t - 100);
+  q.push(t, [&] { order.push_back(2); });      // late
+  q.push(t, [&] { order.push_back(3); });      // late
+  while (q.next_time() == t) {
     q.pop().fn();
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(q.pop().when, t + 1);
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, WheelRolloverPastHorizon) {
-  // March a self-rescheduling chain far enough that every wheel bucket is
-  // reused several times; ordering must hold across every wrap.
+TEST(EventQueue, LongRescheduleChainsStayOrdered) {
+  // Self-rescheduling chains with steps from a few ticks to a millisecond
+  // run side by side for many rounds; every pop must be no earlier than
+  // the one before, and each chain must end exactly where it should.
   EventQueue q;
-  constexpr Tick kStep = EventQueue::kHorizonTicks / 3 + 7;
+  constexpr std::uint64_t kRounds = 64;
   Tick last = 0;
-  std::uint64_t fired = 0;
   struct Chain {
     EventQueue* q;
     Tick* last;
     std::uint64_t* fired;
+    Tick step;
     Tick at;
     void operator()() const {
       EXPECT_GE(at, *last);
       *last = at;
-      ++*fired;
-      if (*fired < 64) {
-        q->push(at + kStep, Chain{q, last, fired, at + kStep});
+      if (++*fired < kRounds) {
+        q->push(at + step, Chain{q, last, fired, step, at + step});
       }
     }
   };
-  q.push(kStep, Chain{&q, &last, &fired, kStep});
+  const std::vector<Tick> steps = {7, 21'852, 65'539, 1'000'000'007};
+  std::vector<std::uint64_t> fired(steps.size(), 0);
+  for (std::size_t c = 0; c < steps.size(); ++c) {
+    q.push(steps[c], Chain{&q, &last, &fired[c], steps[c], steps[c]});
+  }
   while (!q.empty()) {
     auto p = q.pop();
     q.advance(p.when);
     p.fn();
   }
-  EXPECT_EQ(fired, 64u);
-  EXPECT_EQ(last, 64 * kStep);  // > 20 horizons: many full revolutions
+  for (std::size_t c = 0; c < steps.size(); ++c) {
+    EXPECT_EQ(fired[c], kRounds) << "chain " << c;
+  }
+  EXPECT_EQ(last, kRounds * steps.back());
 }
 
 TEST(EventQueue, FarFutureEventsStayOrdered) {
-  // Events far beyond the horizon (heap residents) interleaved with near
-  // ones; pops must come out in global (tick, seq) order.
+  // Events spread over eleven orders of magnitude of tick, pushed out of
+  // order; pops must come out in global (tick, seq) order.
   EventQueue q;
   std::vector<Tick> pops;
-  for (Tick t : {EventQueue::kHorizonTicks * 5, Tick{3},
-                 EventQueue::kHorizonTicks * 2, Tick{50},
-                 EventQueue::kHorizonTicks + 1}) {
+  for (Tick t : {Tick{1} << 40, Tick{3}, Tick{131'072}, Tick{50},
+                 Tick{65'537}}) {
     q.push(t, [] {});
     pops.push_back(t);
   }
@@ -100,10 +114,9 @@ TEST(EventQueue, FarFutureEventsStayOrdered) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, OutOfOrderBurstIntoOneBucketPopsSorted) {
-  // 64 events pushed in scrambled time order into one 16-tick bucket:
-  // exercises the lazy tail sort, including the large-bucket key-sort
-  // path, and same-tick FIFO within the sorted bucket.
+TEST(EventQueue, ScrambledBurstPopsSorted) {
+  // 64 events pushed in scrambled time order over 13 distinct ticks: pops
+  // come out sorted, and same-tick events keep their push order.
   EventQueue q;
   constexpr int kN = 64;
   std::vector<int> order;
@@ -124,6 +137,138 @@ TEST(EventQueue, OutOfOrderBurstIntoOneBucketPopsSorted) {
     if ((kN - 1 - order[j]) % 13 == (kN - 1 - order[j - 1]) % 13) {
       EXPECT_LT(order[j - 1], order[j]);
     }
+  }
+}
+
+TEST(EventQueue, MatchesSortedReferenceUnderRandomOperations) {
+  // Differential test against a sorted multiset of (tick, seq) keys. Each
+  // callback records its own key, so a pop is checked by what it runs, not
+  // only by what it reports. Covers fresh pushes at mixed distances,
+  // reserved keys pushed out of order, dead duplicates of live keys,
+  // bounded pops, floor advances and the checkpoint bytes.
+  using Key = std::pair<Tick, std::uint64_t>;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue q;
+    std::multiset<Key> ref;
+    Tick floor = 0;
+    std::uint64_t next_seq = 0;
+    std::vector<Key> ran;
+    const auto delta = [&rng]() -> Tick {
+      switch (rng.below(4)) {
+        case 0: return rng.below(3);
+        case 1: return rng.below(64);
+        case 2: return rng.below(100'000);
+        default: return rng.below(Tick{1} << 36);
+      }
+    };
+    const auto record = [&ran](Tick when, std::uint64_t seq) {
+      return [&ran, when, seq] { ran.emplace_back(when, seq); };
+    };
+    const auto push_at_seq = [&](Tick when, std::uint64_t seq) {
+      q.push_at_seq(when, seq, record(when, seq));
+      ref.emplace(when, seq);
+    };
+    const auto check_pop = [&](Tick bound) {
+      auto p = q.try_pop(bound);
+      if (ref.empty() || ref.begin()->first > bound) {
+        ASSERT_EQ(p.when, kTickInvalid);
+        ASSERT_FALSE(static_cast<bool>(p.fn));
+        return;
+      }
+      const Key want = *ref.begin();
+      ref.erase(ref.begin());
+      ASSERT_EQ(Key(p.when, p.seq), want);
+      ASSERT_TRUE(static_cast<bool>(p.fn));
+      p.fn();
+      ASSERT_EQ(ran.back(), want);
+      floor = p.when;
+    };
+    for (int step = 0; step < 4000; ++step) {
+      switch (rng.below(8)) {
+        case 0:
+        case 1: {
+          const Tick when = floor + delta();
+          q.push(when, record(when, next_seq));
+          ref.emplace(when, next_seq++);
+          break;
+        }
+        case 2: {  // reserved keys, pushed later and shuffled
+          const std::uint64_t n = 1 + rng.below(6);
+          const std::uint64_t base = q.reserve_seqs(n);
+          ASSERT_EQ(base, next_seq);
+          next_seq += n;
+          std::vector<std::uint64_t> seqs;
+          for (std::uint64_t i = 0; i < n; ++i) {
+            if (rng.below(4) != 0) {  // some stay unused holes
+              seqs.push_back(base + i);
+            }
+          }
+          for (std::size_t i = seqs.size(); i > 1; --i) {
+            std::swap(seqs[i - 1], seqs[rng.below(i)]);
+          }
+          const Tick when = floor + delta();
+          for (std::uint64_t s : seqs) {
+            push_at_seq(rng.below(2) == 0 ? when : floor + delta(), s);
+          }
+          break;
+        }
+        case 3:  // a dead duplicate of a pending key
+          if (!ref.empty()) {
+            auto it = ref.begin();
+            std::advance(it, static_cast<long>(rng.below(ref.size())));
+            push_at_seq(it->first, it->second);
+          }
+          break;
+        case 4:
+        case 5:
+          check_pop(kTickInvalid);
+          break;
+        case 6: {
+          const Tick front = ref.empty() ? floor : ref.begin()->first;
+          check_pop(front + (rng.below(2) == 0 ? 0 : delta()) -
+                    (front > 0 && rng.below(3) == 0 ? 1 : 0));
+          break;
+        }
+        default: {  // idle advance, never past a pending event
+          const Tick limit = ref.empty() ? floor + delta() : ref.begin()->first;
+          const Tick to = floor + rng.below(limit - floor + 1);
+          q.advance(to);
+          floor = to;
+          break;
+        }
+      }
+      if (HasFatalFailure()) {
+        return;
+      }
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(q.empty(), ref.empty());
+      ASSERT_EQ(q.total_scheduled(), next_seq);
+      if (!ref.empty()) {
+        ASSERT_EQ(q.next_time(), ref.begin()->first);
+      }
+      if (step % 97 == 0) {
+        ckpt::Writer got;
+        q.ckpt_save(got);
+        ckpt::Writer want;
+        want.tick(floor);
+        want.u64(next_seq);
+        want.u64(ref.size());
+        for (const Key& k : ref) {
+          want.tick(k.first);
+          want.u64(k.second);
+        }
+        ASSERT_EQ(got.data(), want.data()) << "at step " << step;
+      }
+    }
+    while (!ref.empty()) {
+      check_pop(kTickInvalid);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+    EXPECT_TRUE(q.empty());
   }
 }
 

@@ -675,7 +675,14 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<sys::Machine> machine_ptr;
   try {
-    machine_ptr = std::make_unique<sys::Machine>(machine_params(cfg));
+    const sys::Machine::Params params = machine_params(cfg);
+    // Checked before construction, so the error path builds nothing.
+    if ((workload == "msg" || workload == "express") && params.nodes < 2) {
+      throw std::runtime_error(workload +
+                               " sends from every node to the others; it "
+                               "needs nodes>=2");
+    }
+    machine_ptr = std::make_unique<sys::Machine>(params);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "svsim: %s\n", e.what());
     return 2;
