@@ -1,6 +1,8 @@
 #include "cpu/processor.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 #include "ckpt/stats_io.hpp"
@@ -41,21 +43,18 @@ sim::Co<void> Processor::work(sim::Cycles c) {
   co_await sim::delay(kernel_, dur);
 }
 
-sim::Co<void> Processor::load(mem::Addr a, std::span<std::byte> out) {
-  if (cache_ == nullptr) {
-    co_await load_uncached(a, out);
-    co_return;
-  }
+sim::Co<void> Processor::cached(mem::Addr a, std::byte* rdata,
+                                const std::byte* wdata, std::size_t size) {
   // Reserve the work-phase key plus one key per cache chunk up front — in
   // BOTH modes — so fast and slow runs issue identical sequence numbers at
   // identical program points (the bit-identity argument, DESIGN.md §12).
   const sim::Tick t0 = now();
   const sim::Tick work_ticks = params_.clock.to_ticks(params_.op_overhead);
   const std::uint64_t s0 =
-      kernel_.reserve_seqs(1 + mem::SnoopingCache::chunk_count(a, out.size()));
+      kernel_.reserve_seqs(1 + mem::SnoopingCache::chunk_count(a, size));
   busy_.add_busy(work_ticks);
   trace_busy("work", t0, t0 + work_ticks);
-  if (try_batch(a, out.data(), nullptr, out.size(), s0, t0)) {
+  if (try_batch(a, rdata, wdata, size, s0, t0)) {
     if (co_await BatchAwait{*this} == 0) {
       co_return;  // completed in one event; stats applied at the hit key
     }
@@ -64,34 +63,14 @@ sim::Co<void> Processor::load(mem::Addr a, std::span<std::byte> out) {
   } else {
     co_await sim::seq_delay(kernel_, t0 + work_ticks, s0);
   }
-  co_await cache_->read(a, out, s0 + 1);
-  ops_.inc();
-  busy_.add_busy(now() - t0 - work_ticks);
-  trace_busy("load", t0 + work_ticks, now());
-}
-
-sim::Co<void> Processor::store(mem::Addr a, std::span<const std::byte> in) {
-  if (cache_ == nullptr) {
-    co_await store_uncached(a, in);
-    co_return;
-  }
-  const sim::Tick t0 = now();
-  const sim::Tick work_ticks = params_.clock.to_ticks(params_.op_overhead);
-  const std::uint64_t s0 =
-      kernel_.reserve_seqs(1 + mem::SnoopingCache::chunk_count(a, in.size()));
-  busy_.add_busy(work_ticks);
-  trace_busy("work", t0, t0 + work_ticks);
-  if (try_batch(a, nullptr, in.data(), in.size(), s0, t0)) {
-    if (co_await BatchAwait{*this} == 0) {
-      co_return;
-    }
+  if (rdata != nullptr) {
+    co_await cache_->read(a, std::span(rdata, size), s0 + 1);
   } else {
-    co_await sim::seq_delay(kernel_, t0 + work_ticks, s0);
+    co_await cache_->write(a, std::span(wdata, size), s0 + 1);
   }
-  co_await cache_->write(a, in, s0 + 1);
   ops_.inc();
   busy_.add_busy(now() - t0 - work_ticks);
-  trace_busy("store", t0 + work_ticks, now());
+  trace_busy(rdata != nullptr ? "load" : "store", t0 + work_ticks, now());
 }
 
 // --- Quantum batching (DESIGN.md §12) --------------------------------------
@@ -194,62 +173,64 @@ void Processor::batch_revoke() {
   // matches the slow schedule, so the batch can safely run to completion.
 }
 
+sim::Co<std::uint64_t> Processor::uncached(mem::BusOp op, mem::Addr a,
+                                           std::uint32_t n,
+                                           std::uint64_t value) {
+  assert(n > 0 && a % mem::kBeatBytes + n <= mem::kBeatBytes);
+  const bool read = op == mem::BusOp::kReadSingle;
+  const sim::Tick t0 = now();
+  const sim::Tick work_ticks = params_.clock.to_ticks(params_.op_overhead);
+  // The issue-overhead charge is folded into the transaction as a lead-in
+  // (req.lead_ticks) instead of a separate work() delay: the slow path
+  // replays it event-for-event, and the fast path completes the whole op
+  // — work, arbitration, data tenure — in a single kernel event
+  // (DESIGN.md §12). Busy/trace accounting stays here, at the same
+  // dispatch the old work() call charged it.
+  busy_.add_busy(work_ticks);
+  trace_busy("work", t0, t0 + work_ticks);
+  mem::BusRequest req;
+  req.op = op;
+  req.addr = a;
+  req.size = n;
+  // `value` lives in this frame, so the bus may use it until completion.
+  auto* beat = reinterpret_cast<std::byte*>(&value);
+  req.rdata = read ? beat : nullptr;
+  req.wdata = read ? nullptr : beat;
+  req.from_ap = true;
+  req.lead_ticks = work_ticks;
+  co_await bus_.transact_retry(bus_id_, req);
+  ops_.inc();
+  busy_.add_busy(now() - t0 - work_ticks);
+  trace_busy(read ? "load.u" : "store.u", t0 + work_ticks, now());
+  co_return value;
+}
+
+namespace {
+/// Bytes of [a, a + left) that fit in the 8-byte beat containing `a`.
+std::uint32_t beat_bytes(mem::Addr a, std::size_t left) {
+  return static_cast<std::uint32_t>(
+      std::min<std::size_t>(left, mem::kBeatBytes - a % mem::kBeatBytes));
+}
+}  // namespace
+
 sim::Co<void> Processor::load_uncached(mem::Addr a,
                                        std::span<std::byte> out) {
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const mem::Addr addr = a + done;
-    const std::size_t to_boundary = 8 - (addr % 8);
-    const auto n = static_cast<std::uint32_t>(
-        std::min<std::size_t>({out.size() - done, to_boundary, 8}));
-    const sim::Tick t0 = now();
-    const sim::Tick work_ticks = params_.clock.to_ticks(params_.op_overhead);
-    // The issue-overhead charge is folded into the transaction as a lead-in
-    // (req.lead_ticks) instead of a separate work() delay: the slow path
-    // replays it event-for-event, and the fast path completes the whole op
-    // — work, arbitration, data tenure — in a single kernel event
-    // (DESIGN.md §12). Busy/trace accounting stays here, at the same
-    // dispatch the old work() call charged it.
-    busy_.add_busy(work_ticks);
-    trace_busy("work", t0, t0 + work_ticks);
-    mem::BusRequest req;
-    req.op = mem::BusOp::kReadSingle;
-    req.addr = addr;
-    req.size = n;
-    req.rdata = out.data() + done;
-    req.from_ap = true;
-    req.lead_ticks = work_ticks;
-    co_await bus_.transact_retry(bus_id_, req);
-    ops_.inc();
-    busy_.add_busy(now() - t0 - work_ticks);
-    trace_busy("load.u", t0 + work_ticks, now());
+  for (std::size_t done = 0; done < out.size();) {
+    const std::uint32_t n = beat_bytes(a + done, out.size() - done);
+    const std::uint64_t v =
+        co_await uncached(mem::BusOp::kReadSingle, a + done, n);
+    std::memcpy(out.data() + done, &v, n);
     done += n;
   }
 }
 
 sim::Co<void> Processor::store_uncached(mem::Addr a,
                                         std::span<const std::byte> in) {
-  std::size_t done = 0;
-  while (done < in.size()) {
-    const mem::Addr addr = a + done;
-    const std::size_t to_boundary = 8 - (addr % 8);
-    const auto n = static_cast<std::uint32_t>(
-        std::min<std::size_t>({in.size() - done, to_boundary, 8}));
-    const sim::Tick t0 = now();
-    const sim::Tick work_ticks = params_.clock.to_ticks(params_.op_overhead);
-    busy_.add_busy(work_ticks);
-    trace_busy("work", t0, t0 + work_ticks);
-    mem::BusRequest req;
-    req.op = mem::BusOp::kWriteSingle;
-    req.addr = addr;
-    req.size = n;
-    req.wdata = in.data() + done;
-    req.from_ap = true;
-    req.lead_ticks = work_ticks;
-    co_await bus_.transact_retry(bus_id_, req);
-    ops_.inc();
-    busy_.add_busy(now() - t0 - work_ticks);
-    trace_busy("store.u", t0 + work_ticks, now());
+  for (std::size_t done = 0; done < in.size();) {
+    const std::uint32_t n = beat_bytes(a + done, in.size() - done);
+    std::uint64_t v = 0;
+    std::memcpy(&v, in.data() + done, n);
+    co_await uncached(mem::BusOp::kWriteSingle, a + done, n, v);
     done += n;
   }
 }

@@ -43,13 +43,26 @@ class Processor : public sim::SimObject, public mem::BusDevice {
   /// Execute for `c` processor cycles (models instruction work).
   sim::Co<void> work(sim::Cycles c);
 
-  /// Cacheable accesses (require a cache).
-  sim::Co<void> load(mem::Addr a, std::span<std::byte> out);
-  sim::Co<void> store(mem::Addr a, std::span<const std::byte> in);
+  /// Cacheable accesses; uncached on a processor without a cache (the sP).
+  sim::Co<void> load(mem::Addr a, std::span<std::byte> out) {
+    return cache_ != nullptr ? cached(a, out.data(), nullptr, out.size())
+                             : load_uncached(a, out);
+  }
+  sim::Co<void> store(mem::Addr a, std::span<const std::byte> in) {
+    return cache_ != nullptr ? cached(a, nullptr, in.data(), in.size())
+                             : store_uncached(a, in);
+  }
 
   /// Uncached accesses (straight to the bus, split into <=8-byte singles).
   sim::Co<void> load_uncached(mem::Addr a, std::span<std::byte> out);
   sim::Co<void> store_uncached(mem::Addr a, std::span<const std::byte> in);
+
+  /// One uncached single-beat access: `op` is kReadSingle or kWriteSingle,
+  /// and [a, a + n) must lie within one 8-byte beat. The beat's bytes are
+  /// the first `n` bytes of a uint64 in host memory order: a store sends
+  /// them from `value`, a load returns them (the rest zero).
+  sim::Co<std::uint64_t> uncached(mem::BusOp op, mem::Addr a, std::uint32_t n,
+                                  std::uint64_t value = 0);
 
   template <typename T>
   sim::Co<T> load_scalar(mem::Addr a, bool cached = true) {
@@ -115,8 +128,6 @@ class Processor : public sim::SimObject, public mem::BusDevice {
   void fastpath_revoke() override { batch_revoke(); }
 
  private:
-  class BusyScope;
-
   /// In-flight batched quantum. At most one can be live per processor —
   /// try_batch refuses to engage while one is — but programs sharing the
   /// processor (several coroutines may issue cached accesses concurrently,
@@ -155,6 +166,11 @@ class Processor : public sim::SimObject, public mem::BusDevice {
     }
     int await_resume() const noexcept { return result; }
   };
+
+  /// One cacheable access: a load into `rdata` or a store from `wdata`
+  /// (the other is null).
+  sim::Co<void> cached(mem::Addr a, std::byte* rdata, const std::byte* wdata,
+                       std::size_t size);
 
   /// Check quantum-batch eligibility for a cached access and, on success,
   /// engage: lock the cache, fill batch_ and schedule the completion event

@@ -66,8 +66,12 @@ trace::Tracer* MemBus::trace_target() {
   return tr;
 }
 
-sim::Co<void> MemBus::wait_cycles(sim::Cycles c) {
-  co_await sim::delay(kernel_, params_.clock.to_ticks(c));
+void MemBus::observe_all(const BusRequest& req, const BusResult& res) {
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    if (static_cast<int>(i) != req.requester) {
+      devices_[i]->bus_observe(req, res);
+    }
+  }
 }
 
 // --- Fast path (DESIGN.md §12) ---------------------------------------------
@@ -174,11 +178,7 @@ void MemBus::fast_complete(std::uint64_t gen) {
     // the address bus and this release cannot wake anyone.
     addr_bus_.release();
   }
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (static_cast<int>(i) != r.req.requester) {
-      devices_[i]->bus_observe(r.req, r.res);
-    }
-  }
+  observe_all(r.req, r.res);
   stats_.latency_ps.sample(r.t3 - r.start);
   ++fast_hits_;
   r.live = false;
@@ -258,197 +258,177 @@ void MemBus::revoke_fastpaths() {
 
 // --- Transactions ----------------------------------------------------------
 
-sim::Co<BusResult> MemBus::transact(int requester_id, BusRequest req) {
+sim::Co<BusResult> MemBus::issue(int requester_id, BusRequest req,
+                                  unsigned max_tries) {
   req.requester = requester_id;
-  // Entry is the revocation choke point: any new master (or any operation
-  // that could invalidate a fast path's assumptions) passes through here
-  // before arbitrating, so in-flight bypasses fold back onto the slow
-  // schedule before this transaction can observe anything.
-  revoke_fastpaths();
-  const sim::Tick lead = req.lead_ticks;
-  // Issue time: where the slow path finishes the requester's folded-in
-  // lead (work/decode) delay and begins arbitrating. Latency stats are
-  // measured from here, so fused and unfused callers sample identically.
-  const sim::Tick start = now() + lead;
-  // Reserve the dispatch keys of all timed phases up front — in BOTH
-  // modes — so fast and slow runs issue identical sequence numbers at
-  // identical program points. This pins the global dispatch order, which
-  // is the entire bit-identity argument (DESIGN.md §12). A folded lead
-  // delay adds one key (s0 - 1) ahead of the three phase keys.
-  const std::uint64_t s_base = kernel_.reserve_seqs(lead > 0 ? 4 : 3);
-  const std::uint64_t s0 = lead > 0 ? s_base + 1 : s_base;
-  const sim::Tick t1 = start + params_.clock.until_next_edge(start);
-  const sim::Tick t2 = t1 + params_.clock.to_ticks(params_.address_cycles);
+  for (unsigned tries = 1;; ++tries) {
+    // Entry is the revocation choke point: any new master (or any operation
+    // that could invalidate a fast path's assumptions) passes through here
+    // before arbitrating, so in-flight bypasses fold back onto the slow
+    // schedule before this transaction can observe anything.
+    revoke_fastpaths();
+    const sim::Tick lead = req.lead_ticks;
+    // Issue time: where the slow path finishes the requester's folded-in
+    // lead (work/decode) delay and begins arbitrating. Latency stats are
+    // measured from here, so fused and unfused callers sample identically.
+    const sim::Tick start = now() + lead;
+    // Reserve the dispatch keys of all timed phases up front — in BOTH
+    // modes — so fast and slow runs issue identical sequence numbers at
+    // identical program points. This pins the global dispatch order, which
+    // is the entire bit-identity argument (DESIGN.md §12). A folded lead
+    // delay adds one key (s0 - 1) ahead of the three phase keys.
+    const std::uint64_t s_base = kernel_.reserve_seqs(lead > 0 ? 4 : 3);
+    const std::uint64_t s0 = lead > 0 ? s_base + 1 : s_base;
+    const sim::Tick t1 = start + params_.clock.until_next_edge(start);
+    const sim::Tick t2 = t1 + params_.clock.to_ticks(params_.address_cycles);
 
-  int resume_phase = 0;
-  if (params_.fastpath && plan_fast(req, s0, start, t1, t2)) {
-    const int phase = co_await FastAwait{*this};
-    if (phase == 0) {
-      co_return fast_rec_.res;  // completed in one event
+    int resume_phase = 0;
+    if (params_.fastpath && plan_fast(req, s0, start, t1, t2)) {
+      const int phase = co_await FastAwait{*this};
+      if (phase == 0) {
+        co_return fast_rec_.res;  // completed in one event
+      }
+      resume_phase = phase;  // revoked: continue on the slow path below
     }
-    resume_phase = phase;  // revoked: continue on the slow path below
-  }
 
-  // --- Lead-in --------------------------------------------------------------
-  if (resume_phase == 0 && lead > 0) {
-    co_await sim::seq_delay(kernel_, start, s_base);
-  }
-  // --- Address tenure -------------------------------------------------------
-  if (resume_phase <= 1) {
-    co_await addr_bus_.acquire();
-    co_await sim::seq_delay(
-        kernel_, now() + params_.clock.until_next_edge(now()), s0);
-  }
-  if (resume_phase <= 2) {
-    co_await sim::seq_delay(
-        kernel_, now() + params_.clock.to_ticks(params_.address_cycles),
-        s0 + 1);
-  }
+    // --- Lead-in ------------------------------------------------------------
+    if (resume_phase == 0 && lead > 0) {
+      co_await sim::seq_delay(kernel_, start, s_base);
+    }
+    // --- Address tenure -----------------------------------------------------
+    if (resume_phase <= 1) {
+      co_await addr_bus_.acquire();
+      co_await sim::seq_delay(
+          kernel_, now() + params_.clock.until_next_edge(now()), s0);
+    }
+    if (resume_phase <= 2) {
+      co_await sim::seq_delay(
+          kernel_, now() + params_.clock.to_ticks(params_.address_cycles),
+          s0 + 1);
+    }
 
-  BusResult res;
-  int accept_device = -1;      // device that claimed the address (memory)
-  sim::Cycles accept_latency = 0;
-  int modified_device = -1;    // device performing intervention
-  sim::Cycles modified_latency = 0;
-  bool retry = false;
+    BusResult res;
+    int accept_device = -1;      // device that claimed the address (memory)
+    sim::Cycles accept_latency = 0;
+    int modified_device = -1;    // device performing intervention
+    sim::Cycles modified_latency = 0;
+    bool retry = false;
 
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (static_cast<int>(i) == requester_id) {
+    for (std::size_t i = 0; i < devices_.size(); ++i) {
+      if (static_cast<int>(i) == requester_id) {
+        continue;
+      }
+      const SnoopResult sr = devices_[i]->bus_snoop(req);
+      switch (sr.action) {
+        case SnoopAction::kIgnore:
+          break;
+        case SnoopAction::kAccept:
+          assert(accept_device < 0 && "multiple devices claimed one address");
+          accept_device = static_cast<int>(i);
+          accept_latency = sr.latency;
+          break;
+        case SnoopAction::kShared:
+          res.shared = true;
+          break;
+        case SnoopAction::kModified:
+          assert(modified_device < 0 && "multiple modified owners");
+          modified_device = static_cast<int>(i);
+          modified_latency = sr.latency;
+          break;
+        case SnoopAction::kRetry:
+          retry = true;
+          break;
+      }
+    }
+    addr_bus_.release();
+
+    stats_.transactions.inc();
+    if (retry) {
+      stats_.retries.inc();
+      res.retried = true;
+      if (trace::Tracer* tr = trace_target()) {
+        tr->instant(trace_track_,
+                    "ARTRY " + std::string(to_string(req.op)), now());
+      }
+      if (max_tries != 0 && tries >= max_tries) {
+        co_return res;
+      }
+      req.lead_ticks = 0;  // issue/decode work precedes only the first try
+      co_await sim::delay(kernel_,
+                          params_.clock.to_ticks(params_.retry_backoff));
       continue;
     }
-    const SnoopResult sr = devices_[i]->bus_snoop(req);
-    switch (sr.action) {
-      case SnoopAction::kIgnore:
-        break;
-      case SnoopAction::kAccept:
-        assert(accept_device < 0 && "multiple devices claimed one address");
-        accept_device = static_cast<int>(i);
-        accept_latency = sr.latency;
-        break;
-      case SnoopAction::kShared:
-        res.shared = true;
-        break;
-      case SnoopAction::kModified:
-        assert(modified_device < 0 && "multiple modified owners");
-        modified_device = static_cast<int>(i);
-        modified_latency = sr.latency;
-        break;
-      case SnoopAction::kRetry:
-        retry = true;
-        break;
-    }
-  }
-  addr_bus_.release();
 
-  stats_.transactions.inc();
-  if (retry) {
-    stats_.retries.inc();
-    res.retried = true;
+    // Intervention: a dirty snooper overrides the addressed responder.
+    int responder = accept_device;
+    sim::Cycles latency = accept_latency;
+    if (modified_device >= 0) {
+      responder = modified_device;
+      latency = modified_latency;
+      res.intervened = true;
+      res.shared = true;
+      stats_.interventions.inc();
+    }
+    res.responder = responder;
+
+    // Kill, a flush that found no dirty copy, or nobody claimed the
+    // address: no data tenure.
+    const bool address_only = op_address_only(req.op) ||
+                              (req.op == BusOp::kFlush && !res.intervened);
+    if (address_only || responder < 0) {
+      if (address_only) {
+        stats_.address_only.inc();
+      } else {
+        res.no_responder = true;
+      }
+      observe_all(req, res);
+      stats_.latency_ps.sample(now() - start);
+      co_return res;
+    }
+
+    // --- Data tenure --------------------------------------------------------
+    co_await data_bus_.acquire();
+    const sim::Tick data_start = now();
+    const sim::Cycles beats =
+        std::max<sim::Cycles>(1, (req.size + kBeatBytes - 1) / kBeatBytes);
+    co_await sim::seq_delay(
+        kernel_, now() + params_.clock.to_ticks(latency + beats), s0 + 2);
+    stats_.data_beats.inc(beats);
+    stats_.data_busy.add_busy(now() - data_start);
     if (trace::Tracer* tr = trace_target()) {
-      tr->instant(trace_track_,
-                  "ARTRY " + std::string(to_string(req.op)), now());
+      // One span per data tenure: their sum is exactly data_busy, so trace
+      // occupancy reproduces the StatRegistry bus occupancy.
+      tr->span(trace_track_, std::string(to_string(req.op)), data_start,
+               now());
     }
-    co_return res;
-  }
 
-  // Intervention: a dirty snooper overrides the addressed responder.
-  int responder = accept_device;
-  sim::Cycles latency = accept_latency;
-  if (modified_device >= 0) {
-    responder = modified_device;
-    latency = modified_latency;
-    res.intervened = true;
-    res.shared = true;
-    stats_.interventions.inc();
-  }
-  res.responder = responder;
-
-  if (op_address_only(req.op) || (req.op == BusOp::kFlush && !res.intervened)) {
-    // Kill, or a flush that found no dirty copy: no data tenure.
-    stats_.address_only.inc();
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      if (static_cast<int>(i) != requester_id) {
-        devices_[i]->bus_observe(req, res);
+    if (req.op == BusOp::kFlush) {
+      // The dirty owner pushes the line back to memory.
+      assert(res.intervened);
+      std::byte line[kLineBytes];
+      std::span<std::byte> buf(line, req.size);
+      devices_[responder]->bus_read_data(req, buf);
+      if (accept_device >= 0) {
+        devices_[accept_device]->bus_write_data(req, buf);
       }
+    } else if (op_reads_data(req.op)) {
+      assert(req.rdata != nullptr);
+      std::span<std::byte> buf(req.rdata, req.size);
+      devices_[responder]->bus_read_data(req, buf);
+      if (res.intervened && req.op == BusOp::kRead && accept_device >= 0) {
+        // Intervention data is reflected into memory so the previously dirty
+        // line becomes clean-shared system-wide.
+        devices_[accept_device]->bus_write_data(req, buf);
+      }
+    } else if (op_writes_data(req.op)) {
+      assert(req.wdata != nullptr);
+      std::span<const std::byte> buf(req.wdata, req.size);
+      devices_[responder]->bus_write_data(req, buf);
     }
+    data_bus_.release();
+    observe_all(req, res);
     stats_.latency_ps.sample(now() - start);
     co_return res;
-  }
-
-  if (responder < 0) {
-    res.no_responder = true;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      if (static_cast<int>(i) != requester_id) {
-        devices_[i]->bus_observe(req, res);
-      }
-    }
-    stats_.latency_ps.sample(now() - start);
-    co_return res;
-  }
-
-  // --- Data tenure ----------------------------------------------------------
-  co_await data_bus_.acquire();
-  const sim::Tick data_start = now();
-  const sim::Cycles beats =
-      std::max<sim::Cycles>(1, (req.size + kBeatBytes - 1) / kBeatBytes);
-  co_await sim::seq_delay(
-      kernel_, now() + params_.clock.to_ticks(latency + beats), s0 + 2);
-  stats_.data_beats.inc(beats);
-  stats_.data_busy.add_busy(now() - data_start);
-  if (trace::Tracer* tr = trace_target()) {
-    // One span per data tenure: their sum is exactly data_busy, so trace
-    // occupancy reproduces the StatRegistry bus occupancy.
-    tr->span(trace_track_, std::string(to_string(req.op)), data_start, now());
-  }
-
-  if (req.op == BusOp::kFlush) {
-    // The dirty owner pushes the line back to memory.
-    assert(res.intervened);
-    std::byte line[kLineBytes];
-    std::span<std::byte> buf(line, req.size);
-    devices_[responder]->bus_read_data(req, buf);
-    if (accept_device >= 0) {
-      devices_[accept_device]->bus_write_data(req, buf);
-    }
-  } else if (op_reads_data(req.op)) {
-    assert(req.rdata != nullptr);
-    std::span<std::byte> buf(req.rdata, req.size);
-    devices_[responder]->bus_read_data(req, buf);
-    if (res.intervened && req.op == BusOp::kRead && accept_device >= 0) {
-      // Intervention data is reflected into memory so the previously dirty
-      // line becomes clean-shared system-wide.
-      devices_[accept_device]->bus_write_data(req, buf);
-    }
-  } else if (op_writes_data(req.op)) {
-    assert(req.wdata != nullptr);
-    std::span<const std::byte> buf(req.wdata, req.size);
-    devices_[responder]->bus_write_data(req, buf);
-  }
-  data_bus_.release();
-
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (static_cast<int>(i) != requester_id) {
-      devices_[i]->bus_observe(req, res);
-    }
-  }
-  stats_.latency_ps.sample(now() - start);
-  co_return res;
-}
-
-sim::Co<BusResult> MemBus::transact_retry(int requester_id, BusRequest req,
-                                          unsigned max_retries) {
-  unsigned tries = 0;
-  for (;;) {
-    BusResult res = co_await transact(requester_id, req);
-    req.lead_ticks = 0;  // issue/decode work precedes only the first attempt
-    if (!res.retried) {
-      co_return res;
-    }
-    ++tries;
-    if (max_retries != 0 && tries >= max_retries) {
-      co_return res;
-    }
-    co_await wait_cycles(params_.retry_backoff);
   }
 }
 
@@ -597,11 +577,7 @@ void MemBus::burst_complete() {
       devices_[ten.accept]->bus_write_data(
           req, std::span<const std::byte>(req.wdata, kLineBytes));
     }
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      if (static_cast<int>(i) != b.requester) {
-        devices_[i]->bus_observe(req, res);
-      }
-    }
+    observe_all(req, res);
     stats_.latency_ps.sample(ten.t3 - prev);
     prev = ten.t3;
   }

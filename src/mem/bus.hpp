@@ -94,7 +94,7 @@ struct BusRequest {
   /// transaction, in ticks. The slow path replays it as a reserved-key
   /// delay before arbitration; the fast path folds lead + address tenure +
   /// data tenure into its single completion event (DESIGN.md §12). Applies
-  /// to the first issue only — transact_retry clears it before re-issuing.
+  /// to the first try only — the retry loop clears it before re-issuing.
   sim::Tick lead_ticks = 0;
 };
 
@@ -215,13 +215,17 @@ class MemBus : public sim::SimObject {
   /// Run one bus transaction. The request's requester field is filled in
   /// from `requester_id`. Returns once the transaction completes or is
   /// retried (result.retried).
-  sim::Co<BusResult> transact(int requester_id, BusRequest req);
+  sim::Co<BusResult> transact(int requester_id, BusRequest req) {
+    return issue(requester_id, req, 1);
+  }
 
   /// Issue and re-issue on ARTRY with backoff until the transaction
   /// completes. `max_retries` == 0 means unbounded (hardware semantics).
   /// With a bound, gives up and returns retried=true after that many tries.
   sim::Co<BusResult> transact_retry(int requester_id, BusRequest req,
-                                    unsigned max_retries = 0);
+                                    unsigned max_retries = 0) {
+    return issue(requester_id, req, max_retries);
+  }
 
   /// Tenure coalescing (DESIGN.md §12): run up to `lines` consecutive
   /// aligned full-line tenures (kRead when `rdata`, kWriteLine when
@@ -343,8 +347,14 @@ class MemBus : public sim::SimObject {
   void fast_complete(std::uint64_t gen);
   void fast_wake();
   void burst_complete();
+  /// bus_observe(req, res) on every device except the requester.
+  void observe_all(const BusRequest& req, const BusResult& res);
 
-  sim::Co<void> wait_cycles(sim::Cycles c);
+  /// The one coroutine behind transact/transact_retry: up to `max_tries`
+  /// tries (0 = unbounded), each re-arbitrating `retry_backoff` cycles
+  /// after the ARTRY that ended the previous one.
+  sim::Co<BusResult> issue(int requester_id, BusRequest req,
+                           unsigned max_tries);
   [[nodiscard]] trace::Tracer* trace_target();
   [[nodiscard]] bool fast_blockers() const;
 

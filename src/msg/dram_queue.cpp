@@ -3,8 +3,8 @@
 namespace sv::msg {
 
 sim::Co<std::optional<Message>> DramQueue::try_recv() {
-  const auto producer = co_await ap_.load_scalar<std::uint32_t>(
-      desc_.base, /*cached=*/false);
+  const auto producer = static_cast<std::uint32_t>(
+      co_await ap_.uncached(mem::BusOp::kReadSingle, desc_.base, 4));
   if (producer == consumer_) {
     co_return std::nullopt;
   }
@@ -29,8 +29,8 @@ sim::Co<std::optional<Message>> DramQueue::try_recv() {
   }
 
   ++consumer_;
-  co_await ap_.store_scalar<std::uint32_t>(desc_.base + 4, consumer_,
-                                           /*cached=*/false);
+  co_await ap_.uncached(mem::BusOp::kWriteSingle, desc_.base + 4, 4,
+                        consumer_);
   co_return msg;
 }
 

@@ -13,8 +13,22 @@ using niu::kExpressTxWindowOffset;
 using niu::kNiuBase;
 using niu::kPtrWindowOffset;
 
-mem::Addr asram_addr(std::uint32_t offset) {
+mem::Addr asram_addr(mem::Addr offset) {
   return kNiuBase + kAsramWindowOffset + offset;
+}
+
+/// Poll one of CTRL's queue-pointer shadow words in aSRAM (uncached).
+sim::Co<std::uint64_t> load_shadow(cpu::Processor& ap, mem::Addr offset) {
+  return ap.uncached(mem::BusOp::kReadSingle, asram_addr(offset), 4);
+}
+
+/// Pointer update: a single uncached store whose address encodes the op.
+sim::Co<std::uint64_t> store_ptr(cpu::Processor& ap, niu::PtrKind kind,
+                                 unsigned hwq, std::uint16_t value) {
+  return ap.uncached(mem::BusOp::kWriteSingle,
+                     kNiuBase + kPtrWindowOffset +
+                         niu::ptr_window_addr(kind, hwq),
+                     4, value);
 }
 
 }  // namespace
@@ -32,8 +46,7 @@ sim::Co<void> Endpoint::wait_tx_space() {
   while (static_cast<std::uint16_t>(tx_producer_ - tx_consumer_seen_) >=
          q.slots) {
     tx_consumer_seen_ = static_cast<std::uint16_t>(
-        co_await ap_.load_scalar<std::uint32_t>(
-            asram_addr(niu::tx_consumer_shadow(q.hwq)), /*cached=*/false));
+        co_await load_shadow(ap_, niu::tx_consumer_shadow(q.hwq)));
   }
 }
 
@@ -66,10 +79,7 @@ sim::Co<void> Endpoint::send(std::uint16_t vdest,
 
   // Launch: a single uncached store to the pointer window.
   ++tx_producer_;
-  co_await ap_.store_scalar<std::uint32_t>(
-      kNiuBase + kPtrWindowOffset +
-          niu::ptr_window_addr(niu::PtrKind::kTxProducer, q.hwq),
-      tx_producer_, /*cached=*/false);
+  co_await store_ptr(ap_, niu::PtrKind::kTxProducer, q.hwq, tx_producer_);
   tx_gate_.leave();
 }
 
@@ -106,10 +116,7 @@ sim::Co<void> Endpoint::send_tagon(std::uint16_t vdest,
                            niu::kBasicHeaderBytes + data.size());
 
   ++tx_producer_;
-  co_await ap_.store_scalar<std::uint32_t>(
-      kNiuBase + kPtrWindowOffset +
-          niu::ptr_window_addr(niu::PtrKind::kTxProducer, q.hwq),
-      tx_producer_, /*cached=*/false);
+  co_await store_ptr(ap_, niu::PtrKind::kTxProducer, q.hwq, tx_producer_);
   tx_gate_.leave();
 }
 
@@ -127,8 +134,7 @@ sim::Co<void> Endpoint::send_raw(sim::NodeId dest, net::QueueId queue,
   while (static_cast<std::uint16_t>(raw_producer_ - raw_consumer_seen_) >=
          q.slots) {
     raw_consumer_seen_ = static_cast<std::uint16_t>(
-        co_await ap_.load_scalar<std::uint32_t>(
-            asram_addr(niu::tx_consumer_shadow(q.hwq)), /*cached=*/false));
+        co_await load_shadow(ap_, niu::tx_consumer_shadow(q.hwq)));
   }
 
   const std::uint32_t slot =
@@ -151,10 +157,7 @@ sim::Co<void> Endpoint::send_raw(sim::NodeId dest, net::QueueId queue,
                            niu::kBasicHeaderBytes + data.size());
 
   ++raw_producer_;
-  co_await ap_.store_scalar<std::uint32_t>(
-      kNiuBase + kPtrWindowOffset +
-          niu::ptr_window_addr(niu::PtrKind::kTxProducer, q.hwq),
-      raw_producer_, /*cached=*/false);
+  co_await store_ptr(ap_, niu::PtrKind::kTxProducer, q.hwq, raw_producer_);
   raw_gate_.leave();
 }
 
@@ -165,18 +168,36 @@ sim::Co<void> Endpoint::stage(std::uint32_t sram_offset,
 }
 
 sim::Co<std::optional<Message>> Endpoint::try_recv() {
-  const auto& q = config_.rx;
   co_await rx_gate_.enter();
   if (rx_consumer_ == rx_producer_seen_) {
     rx_producer_seen_ = static_cast<std::uint16_t>(
-        co_await ap_.load_scalar<std::uint32_t>(
-            asram_addr(niu::rx_producer_shadow(q.hwq)), /*cached=*/false));
-    if (rx_consumer_ == rx_producer_seen_) {
-      rx_gate_.leave();
-      co_return std::nullopt;
-    }
+        co_await load_shadow(ap_, niu::rx_producer_shadow(config_.rx.hwq)));
   }
+  if (rx_consumer_ == rx_producer_seen_) {
+    rx_gate_.leave();
+    co_return std::nullopt;
+  }
+  co_return co_await read_rx_slot();
+}
 
+sim::Co<Message> Endpoint::recv() {
+  // try_recv() inlined: an empty poll is one uncached load, with no
+  // coroutine frame of its own.
+  for (;;) {
+    co_await rx_gate_.enter();
+    if (rx_consumer_ == rx_producer_seen_) {
+      rx_producer_seen_ = static_cast<std::uint16_t>(co_await load_shadow(
+          ap_, niu::rx_producer_shadow(config_.rx.hwq)));
+    }
+    if (rx_consumer_ != rx_producer_seen_) {
+      co_return co_await read_rx_slot();
+    }
+    rx_gate_.leave();
+  }
+}
+
+sim::Co<Message> Endpoint::read_rx_slot() {
+  const auto& q = config_.rx;
   const std::uint32_t slot =
       q.base + static_cast<std::uint32_t>(rx_consumer_ % q.slots) *
                    q.slot_bytes;
@@ -202,21 +223,9 @@ sim::Co<std::optional<Message>> Endpoint::try_recv() {
   }
 
   ++rx_consumer_;
-  co_await ap_.store_scalar<std::uint32_t>(
-      kNiuBase + kPtrWindowOffset +
-          niu::ptr_window_addr(niu::PtrKind::kRxConsumer, q.hwq),
-      rx_consumer_, /*cached=*/false);
+  co_await store_ptr(ap_, niu::PtrKind::kRxConsumer, q.hwq, rx_consumer_);
   rx_gate_.leave();
   co_return msg;
-}
-
-sim::Co<Message> Endpoint::recv() {
-  for (;;) {
-    auto msg = co_await try_recv();
-    if (msg.has_value()) {
-      co_return std::move(*msg);
-    }
-  }
 }
 
 sim::Co<Message> Endpoint::recv_interrupt(sim::Cycles isr_cycles) {
@@ -242,22 +251,21 @@ sim::Co<void> Endpoint::send_express(std::uint8_t vdest, std::uint8_t extra,
   while (static_cast<std::uint16_t>(extx_producer_ - extx_consumer_seen_) >=
          q.slots) {
     extx_consumer_seen_ = static_cast<std::uint16_t>(
-        co_await ap_.load_scalar<std::uint32_t>(
-            asram_addr(niu::tx_consumer_shadow(q.hwq)), /*cached=*/false));
+        co_await load_shadow(ap_, niu::tx_consumer_shadow(q.hwq)));
   }
   ++extx_producer_;
-  co_await ap_.store_scalar<std::uint32_t>(
-      kNiuBase + kExpressTxWindowOffset +
-          niu::express_tx_addr(q.hwq, vdest, extra),
-      word, /*cached=*/false);
+  co_await ap_.uncached(mem::BusOp::kWriteSingle,
+                        kNiuBase + kExpressTxWindowOffset +
+                            niu::express_tx_addr(q.hwq, vdest, extra),
+                        4, word);
   extx_gate_.leave();
 }
 
 sim::Co<std::optional<ExpressMessage>> Endpoint::try_recv_express() {
   const auto& q = config_.express_rx;
-  const auto entry = co_await ap_.load_scalar<std::uint64_t>(
-      kNiuBase + kExpressRxWindowOffset + q.hwq * niu::kExpressRxStride,
-      /*cached=*/false);
+  const std::uint64_t entry = co_await ap_.uncached(
+      mem::BusOp::kReadSingle,
+      kNiuBase + kExpressRxWindowOffset + q.hwq * niu::kExpressRxStride, 8);
   if (entry == ~std::uint64_t{0}) {
     co_return std::nullopt;
   }

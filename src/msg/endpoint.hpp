@@ -160,6 +160,9 @@ class Endpoint {
  private:
   /// Wait until the basic tx queue has a free slot.
   sim::Co<void> wait_tx_space();
+  /// Consume the pending message at rx_consumer_ and leave the rx gate.
+  /// Precondition: the gate is held and rx_producer_seen_ is ahead.
+  sim::Co<Message> read_rx_slot();
 
   cpu::Processor& ap_;
   Config config_;

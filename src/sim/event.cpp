@@ -7,24 +7,6 @@
 
 namespace sv::sim {
 
-void EventQueue::push(Tick when, Callback fn) {
-  push_at_seq(when, next_seq_++, std::move(fn));
-}
-
-void EventQueue::push_at_seq(Tick when, std::uint64_t seq, Callback fn) {
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-    slab_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(std::move(fn));
-  }
-  heap_.emplace_back();
-  sift_up(heap_.size() - 1, Key{when, seq, slot});
-}
-
 void EventQueue::sift_up(std::size_t i, const Key& k) {
   // Parents later than `k` move down into the hole; `k` is written once.
   while (i > 0) {

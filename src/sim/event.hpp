@@ -14,6 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_func.hpp"
@@ -32,7 +34,10 @@ class EventQueue {
   /// Schedule `fn` to run at absolute time `when`. `when` must be >= the
   /// current floor (the last popped/advanced time) — the kernel's
   /// no-events-in-the-past rule.
-  void push(Tick when, Callback fn);
+  template <typename F>
+  void push(Tick when, F&& fn) {
+    push_at_seq(when, next_seq_++, std::forward<F>(fn));
+  }
 
   /// Reserve `n` consecutive sequence numbers and return the first. The
   /// fast-path layer (DESIGN.md §12) reserves an operation's tie-break
@@ -49,7 +54,23 @@ class EventQueue {
   /// Schedule `fn` at `when` under a previously reserved sequence number
   /// instead of a fresh one. The (when, seq) pair must be unique among
   /// live events (a dead — revoked — event may share it; see MemBus).
-  void push_at_seq(Tick when, std::uint64_t seq, Callback fn);
+  /// The callback is built directly in its slab slot.
+  template <typename F>
+  void push_at_seq(Tick when, std::uint64_t seq, F&& fn) {
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(slab_.size());
+      slab_.emplace_back(std::forward<F>(fn));
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      // A free slot holds the empty husk pop() moved its callback out of.
+      std::destroy_at(&slab_[slot]);
+      std::construct_at(&slab_[slot], std::forward<F>(fn));
+    }
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, Key{when, seq, slot});
+  }
 
   /// True when no events remain.
   [[nodiscard]] bool empty() const { return heap_.empty(); }

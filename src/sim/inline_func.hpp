@@ -51,8 +51,8 @@ class InlineFunc {
     invoke_ = [](void* s) { (*static_cast<D*>(s))(); };
     // Most captures are a few pointers and integers: trivially copyable,
     // trivially destructible. Those keep manage_ == nullptr and relocate
-    // by plain memcpy with nothing to destroy — no indirect call per
-    // queue move (each event moves in at push and out at pop).
+    // by plain memcpy with nothing to destroy — no indirect call when the
+    // queue moves an event out at pop (it is built in place at push).
     if constexpr (!(std::is_trivially_copyable_v<D> &&
                     std::is_trivially_destructible_v<D>)) {
       manage_ = [](void* dst, void* src) {

@@ -7,21 +7,6 @@
 
 namespace sv::sim {
 
-void Kernel::schedule_abs(Tick when, EventQueue::Callback fn) {
-  if (when < now_) {
-    throw std::logic_error("Kernel::schedule_abs: time in the past");
-  }
-  events_.push(when, std::move(fn));
-}
-
-void Kernel::schedule_at_seq(Tick when, std::uint64_t seq,
-                             EventQueue::Callback fn) {
-  if (when < now_) {
-    throw std::logic_error("Kernel::schedule_at_seq: time in the past");
-  }
-  events_.push_at_seq(when, seq, std::move(fn));
-}
-
 void Kernel::post(Tick when, std::uint32_t src, std::uint64_t seq,
                   EventQueue::Callback fn) {
   if (deferred_mailbox_) {

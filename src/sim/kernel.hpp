@@ -24,7 +24,9 @@
 #include <functional>
 #include <mutex>
 #include <queue>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -54,12 +56,20 @@ class Kernel {
 
   /// Schedule `fn` to run `delta` ticks from now (delta may be 0: the event
   /// runs after all currently-executing work, still at the same time).
-  void schedule(Tick delta, EventQueue::Callback fn) {
-    events_.push(now_ + delta, std::move(fn));
+  /// `fn` is forwarded: the queue builds the callback in its slot.
+  template <typename F>
+  void schedule(Tick delta, F&& fn) {
+    events_.push(now_ + delta, std::forward<F>(fn));
   }
 
   /// Schedule `fn` at an absolute time, which must be >= now().
-  void schedule_abs(Tick when, EventQueue::Callback fn);
+  template <typename F>
+  void schedule_abs(Tick when, F&& fn) {
+    if (when < now_) {
+      throw std::logic_error("Kernel::schedule_abs: time in the past");
+    }
+    events_.push(when, std::forward<F>(fn));
+  }
 
   /// Reserve `n` consecutive dispatch tie-break keys (sequence numbers)
   /// and return the first. See EventQueue::reserve_seqs and DESIGN.md §12:
@@ -72,7 +82,13 @@ class Kernel {
   /// Schedule `fn` at absolute time `when` under a reserved sequence
   /// number. (when, seq) must be at or after the currently dispatching
   /// event's key; `when` must be >= now().
-  void schedule_at_seq(Tick when, std::uint64_t seq, EventQueue::Callback fn);
+  template <typename F>
+  void schedule_at_seq(Tick when, std::uint64_t seq, F&& fn) {
+    if (when < now_) {
+      throw std::logic_error("Kernel::schedule_at_seq: time in the past");
+    }
+    events_.push_at_seq(when, seq, std::forward<F>(fn));
+  }
 
   /// Key of the event currently being dispatched (its tie-break sequence
   /// number). Valid only while an event is executing; the fast-path

@@ -2,6 +2,8 @@
 // snooping bus, DRAM, SRAM banks and clsSRAM.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "mem/backing_store.hpp"
 #include "mem/bus.hpp"
 #include "mem/cls_sram.hpp"
@@ -322,6 +324,120 @@ TEST(BusRetryFastPath, RetryLosesSameCycleArbitrationDeterministically) {
   EXPECT_EQ(fast.retries, 1u);
   EXPECT_EQ(fast.transactions, slow.transactions);
   EXPECT_EQ(fast.fast_hits, 0u);
+}
+
+// --- The retry loop inside the bus coroutine (DESIGN.md §12.2) -------------
+//
+// transact_retry runs every try and every backoff in one coroutine. An aP
+// single-beat uncached read (from_ap, with the aP's issue overhead folded
+// in as lead_ticks) against a device that ARTRYs three times and then lets
+// the read through must finish exactly where the slow schedule puts it,
+// with identical stats and sequence stream whether or not the last try
+// takes the bypass.
+
+struct RetryLoopOutcome {
+  BusResult res;
+  sim::Tick done = 0;
+  std::string stats_json;
+  std::uint64_t scheduled = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t fast_hits = 0;
+  int retries_left = 0;
+};
+
+constexpr sim::Tick kApLead = 12000;  // two 166 MHz aP cycles
+
+RetryLoopOutcome run_retry_loop(bool fastpath, unsigned max_retries) {
+  sim::Kernel kernel;
+  MemBus::Params p;
+  p.fastpath = fastpath;
+  MemBus bus{kernel, "bus", p};
+  AcceptAllDevice responder;
+  RetryOnceDevice retrier;
+  retrier.retry_addr = 0x100;
+  retrier.retries_left = 3;
+  QuietMaster ap{"aP"};
+  bus.attach(&responder);
+  bus.attach(&retrier);
+  const int ap_id = bus.attach(&ap);
+
+  std::byte buf[8] = {};
+  BusRequest req;
+  req.op = BusOp::kReadSingle;
+  req.addr = 0x100;
+  req.size = 8;
+  req.rdata = buf;
+  req.from_ap = true;
+  req.lead_ticks = kApLead;
+  RetryLoopOutcome out;
+  sim::spawn([](MemBus* b, int id, BusRequest r, unsigned max,
+                sim::Kernel* k, RetryLoopOutcome* o) -> sim::Co<void> {
+    o->res = co_await b->transact_retry(id, r, max);
+    o->done = k->now();
+  }(&bus, ap_id, req, max_retries, &kernel, &out));
+  kernel.run();
+
+  const BusStats& st = bus.stats();
+  sim::StatRegistry reg;
+  reg.set("bus.transactions", static_cast<double>(st.transactions.value()));
+  reg.set("bus.retries", static_cast<double>(st.retries.value()));
+  reg.set("bus.data_beats", static_cast<double>(st.data_beats.value()));
+  reg.set("bus.data_occupancy", st.data_busy.occupancy(kernel.now()));
+  reg.set("bus.latency_count", static_cast<double>(st.latency_ps.count()));
+  reg.set("bus.latency_mean", st.latency_ps.mean());
+  std::ostringstream os;
+  reg.dump_json(os);
+  out.stats_json = os.str();
+  out.scheduled = kernel.events_scheduled();
+  out.retries = st.retries.value();
+  out.fast_hits = bus.fast_path_hits();
+  out.retries_left = retrier.retries_left;
+  return out;
+}
+
+TEST(BusRetryLoop, ThreeArtrysThenAcceptMatchesSlowSchedule) {
+  const auto fast = run_retry_loop(true, 0);
+  const auto slow = run_retry_loop(false, 0);
+
+  EXPECT_FALSE(slow.res.retried);
+  EXPECT_EQ(slow.retries, 3u);
+  EXPECT_EQ(slow.retries_left, 0);
+
+  // Slow path: the lead-in ends off-edge, so the first try aligns to the
+  // next bus edge; each ARTRYed try is an address tenure plus the backoff;
+  // the last try is an address tenure plus the responder's latency (2
+  // cycles) and one data beat. With the default clock: 15000 + 3 * 90000 +
+  // 75000 = 360000 ps.
+  const MemBus::Params p;
+  const sim::Tick first_edge = kApLead + p.clock.until_next_edge(kApLead);
+  const sim::Tick expected =
+      first_edge +
+      3 * p.clock.to_ticks(p.address_cycles + p.retry_backoff) +
+      p.clock.to_ticks(p.address_cycles + 2 + 1);
+  EXPECT_EQ(expected, 360000u);
+  EXPECT_EQ(slow.done, expected);
+
+  // The last try (the retrier is stable once disarmed) takes the bypass,
+  // and nothing observable moves.
+  EXPECT_EQ(fast.fast_hits, 1u);
+  EXPECT_EQ(slow.fast_hits, 0u);
+  EXPECT_EQ(fast.done, slow.done);
+  EXPECT_EQ(fast.stats_json, slow.stats_json);
+  EXPECT_EQ(fast.scheduled, slow.scheduled);
+}
+
+TEST(BusRetryLoop, BoundedRetryGivesUpAfterMaxTries) {
+  for (const bool fastpath : {true, false}) {
+    const auto out = run_retry_loop(fastpath, 2);
+    EXPECT_TRUE(out.res.retried);
+    EXPECT_EQ(out.retries_left, 1);  // exactly two tries were snooped
+    EXPECT_EQ(out.retries, 2u);
+    // No backoff after the last try: it returns at the second ARTRY.
+    const MemBus::Params p;
+    EXPECT_EQ(out.done,
+              kApLead + p.clock.until_next_edge(kApLead) +
+                  p.clock.to_ticks(2 * p.address_cycles + p.retry_backoff));
+  }
 }
 
 TEST_F(BusTest, InterventionSuppliesAndReflects) {

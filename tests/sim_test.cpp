@@ -285,6 +285,55 @@ TEST(EventQueue, TryPopRespectsBound) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, InPlaceCallbacksAreDestroyedExactlyOnce) {
+  // A capture with a counting destructor takes InlineFunc's manager path.
+  // Built in place in a recycled slab slot, it must be destroyed exactly
+  // once: after it runs, or with the queue while still pending. Moved-from
+  // husks do not count.
+  struct Counted {
+    int* dtors;
+    int* runs;
+    bool live = true;
+    Counted(int* d, int* r) : dtors(d), runs(r) {}
+    Counted(Counted&& o) noexcept : dtors(o.dtors), runs(o.runs) {
+      o.live = false;
+    }
+    Counted(const Counted&) = delete;
+    ~Counted() {
+      if (live) {
+        ++*dtors;
+      }
+    }
+    void operator()() { ++*runs; }
+  };
+  int dtors = 0;
+  int runs = 0;
+  {
+    EventQueue q;
+    for (Tick t = 1; t <= 4; ++t) {
+      q.push(t, [] {});
+    }
+    while (!q.empty()) {
+      q.pop().fn();  // every slot is now on the free list
+    }
+    q.push(10, Counted(&dtors, &runs));
+    q.push_at_seq(20, q.reserve_seqs(1), Counted(&dtors, &runs));
+    EXPECT_EQ(dtors, 0);
+    q.pop().fn();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(dtors, 1);  // dispatched: destroyed once, with the Popped
+    EXPECT_EQ(q.size(), 1u);
+  }
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(dtors, 2);  // pending at queue destruction: destroyed once
+
+  Kernel k;
+  k.schedule(10, [] {});
+  k.run();
+  EXPECT_THROW(k.schedule_at_seq(5, k.reserve_seqs(1), [] {}),
+               std::logic_error);
+}
+
 TEST(Kernel, AdvancesTimeMonotonically) {
   Kernel k;
   std::vector<Tick> times;

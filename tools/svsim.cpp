@@ -9,13 +9,13 @@
 //   svsim <workload> [key=value ...]
 //
 // Workloads:
-//   msg       all-to-all Basic messaging       (nodes, count, bytes)
+//   msg       all-to-all Basic messaging       (nodes, count, bytes<=88)
 //   express   all-to-all Express messaging     (nodes, count)
 //   xfer      block transfer                   (approach, bytes)
 //   dma       DMA write                        (bytes)
 //   scoma     random shared-memory traffic     (nodes, ops, words, seed)
 //   numa      random NUMA traffic              (nodes, ops, words, seed)
-//   reliable  ring traffic over ReliableChannel (nodes, count, bytes,
+//   reliable  ring traffic over ReliableChannel (nodes, count, bytes<=72,
 //             window, timeout_us, give_up)
 //
 // Application runtime workloads (src/app/): real parallel programs run
@@ -392,8 +392,7 @@ msg::ReliableChannel::Params reliable_params(const sim::Config& cfg) {
 int run_reliable(Harness& h, const sim::Config& cfg) {
   sys::Machine& machine = h.machine();
   const auto count = cfg.get_u64("count", 100);
-  const auto bytes = std::min<std::uint64_t>(
-      cfg.get_u64("bytes", 64), msg::ReliableChannel::kMaxPayload);
+  const auto bytes = cfg.get_u64("bytes", 64);
   const auto map = machine.addr_map();
   const auto cp = reliable_params(cfg);
 
@@ -681,6 +680,16 @@ int main(int argc, char** argv) {
       throw std::runtime_error(workload +
                                " sends from every node to the others; it "
                                "needs nodes>=2");
+    }
+    const std::uint64_t max_bytes =
+        workload == "msg"        ? niu::kBasicMaxData
+        : workload == "reliable" ? msg::ReliableChannel::kMaxPayload
+                                 : ~std::uint64_t{0};
+    if (cfg.get_u64("bytes", 0) > max_bytes) {
+      throw std::runtime_error(workload + " carries at most " +
+                               std::to_string(max_bytes) +
+                               " payload bytes per message; got bytes=" +
+                               cfg.get_string("bytes", ""));
     }
     machine_ptr = std::make_unique<sys::Machine>(params);
   } catch (const std::exception& e) {
