@@ -4,6 +4,7 @@
 // paper's protected multi-queue design is for).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 
 #include "msg/channel.hpp"
@@ -13,10 +14,17 @@
 namespace sv {
 namespace {
 
+// gtest prints this parameter byte by byte into the test name, so the struct
+// has no padding: `zero` fills the tail the enum would leave uninitialised,
+// keeping the names the same from one build to the next.
 struct MachineParam {
   std::size_t nodes;
   sys::Machine::NetKind net;
+  std::uint32_t zero = 0;
 };
+static_assert(sizeof(MachineParam) ==
+              sizeof(std::size_t) + sizeof(sys::Machine::NetKind) +
+                  sizeof(std::uint32_t));
 
 class MachineSweep : public ::testing::TestWithParam<MachineParam> {};
 
