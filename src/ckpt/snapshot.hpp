@@ -35,7 +35,7 @@ namespace sv::ckpt {
 class Snapshot {
  public:
   static constexpr std::uint32_t kMagic = 0x4B435653;  // "SVCK" little-endian
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   std::string config;  // full run configuration, caller-defined text
   std::uint64_t tick = 0;

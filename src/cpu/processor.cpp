@@ -78,11 +78,8 @@ sim::Co<void> Processor::cached(mem::Addr a, std::byte* rdata,
 bool Processor::try_batch(mem::Addr a, std::byte* rdata,
                           const std::byte* wdata, std::size_t size,
                           std::uint64_t s0, sim::Tick t0) {
-  if (!params_.fastpath || kernel_.fault_injector() != nullptr) {
-    return false;
-  }
   trace::Tracer* tr = kernel_.tracer();
-  if (tr != nullptr && tr->enabled()) {
+  if (!params_.fastpath || (tr != nullptr && tr->enabled())) {
     return false;
   }
   // A bus transaction in flight could snoop or observe this cache mid-batch
@@ -274,7 +271,6 @@ void Processor::run(sim::Co<void> program, sim::OneShot* done) {
 void Processor::ckpt_save(ckpt::Writer& w) const {
   ckpt::save(w, ops_);
   ckpt::save(w, busy_);
-  w.u64(quantum_ticks_);
 }
 
 }  // namespace sv::cpu

@@ -109,7 +109,8 @@ class Processor : public sim::SimObject, public mem::BusDevice {
   /// the registry dump must stay byte-identical across modes.
   [[nodiscard]] sim::Tick quantum_ticks() const { return quantum_ticks_; }
 
-  /// Snapshot state: op count, busy time, and batched-quantum coverage.
+  /// Snapshot state: op count and busy time, but not the mode-variant
+  /// batched-quantum coverage.
   void ckpt_save(ckpt::Writer& w) const;
 
   // --- BusDevice (the processor masters the bus for uncached ops; it never

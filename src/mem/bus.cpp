@@ -77,9 +77,6 @@ void MemBus::observe_all(const BusRequest& req, const BusResult& res) {
 // --- Fast path (DESIGN.md §12) ---------------------------------------------
 
 bool MemBus::fast_blockers() const {
-  if (kernel_.fault_injector() != nullptr) {
-    return true;
-  }
   trace::Tracer* tr = kernel_.tracer();
   return tr != nullptr && tr->enabled();
 }
@@ -342,8 +339,10 @@ sim::Co<BusResult> MemBus::issue(int requester_id, BusRequest req,
     }
     addr_bus_.release();
 
-    stats_.transactions.inc();
+    // A transaction counts when it ends, as on the fast paths: here if it
+    // ends with its address tenure, else after the data tenure.
     if (retry) {
+      stats_.transactions.inc();
       stats_.retries.inc();
       res.retried = true;
       if (trace::Tracer* tr = trace_target()) {
@@ -376,6 +375,7 @@ sim::Co<BusResult> MemBus::issue(int requester_id, BusRequest req,
     const bool address_only = op_address_only(req.op) ||
                               (req.op == BusOp::kFlush && !res.intervened);
     if (address_only || responder < 0) {
+      stats_.transactions.inc();
       if (address_only) {
         stats_.address_only.inc();
       } else {
@@ -393,6 +393,7 @@ sim::Co<BusResult> MemBus::issue(int requester_id, BusRequest req,
         std::max<sim::Cycles>(1, (req.size + kBeatBytes - 1) / kBeatBytes);
     co_await sim::seq_delay(
         kernel_, now() + params_.clock.to_ticks(latency + beats), s0 + 2);
+    stats_.transactions.inc();
     stats_.data_beats.inc(beats);
     stats_.data_busy.add_busy(now() - data_start);
     if (trace::Tracer* tr = trace_target()) {
@@ -595,7 +596,6 @@ void MemBus::ckpt_save(ckpt::Writer& w) const {
   ckpt::save(w, stats_.data_beats);
   ckpt::save(w, stats_.data_busy);
   ckpt::save(w, stats_.latency_ps);
-  w.u64(fast_hits_);
 }
 
 }  // namespace sv::mem

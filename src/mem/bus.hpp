@@ -270,11 +270,12 @@ class MemBus : public sim::SimObject {
 
   [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
 
-  /// Snapshot state: transaction/retry/beat counters, occupancy, the
-  /// latency histogram, and the bypass hit count. In-flight fast records
-  /// are transient (at an epoch boundary no event is executing, but a
-  /// bypassed transaction's completion event may be pending — its
-  /// (when, seq) key is already captured by the kernel's event chunk).
+  /// Snapshot state: transaction/retry/beat counters, occupancy and the
+  /// latency histogram, but not the mode-variant bypass hit count. In-flight
+  /// fast records are transient (at an epoch boundary no event is
+  /// executing, but a bypassed transaction's completion event may be
+  /// pending — its (when, seq) key is already captured by the kernel's
+  /// event chunk).
   void ckpt_save(ckpt::Writer& w) const;
 
  private:

@@ -106,7 +106,6 @@ bool Kernel::step() { return dispatch_one(kTickInvalid); }
 
 void Kernel::ckpt_save(ckpt::Writer& w) const {
   w.tick(now_);
-  w.u64(executed_);
   events_.ckpt_save(w);
   // Mailbox keys in canonical (when, src, seq) order. The callbacks are
   // closures and restore by replay, like the event queue's. staged_ is

@@ -188,8 +188,8 @@ class Kernel {
   [[nodiscard]] fault::Injector* fault_injector() const { return fault_; }
   void set_fault_injector(fault::Injector* fault) { fault_ = fault; }
 
-  /// Append the domain's snapshot state to `w`: clock, dispatch counters,
-  /// the event queue's pending keys (EventQueue::ckpt_save), and every
+  /// Append the domain's snapshot state to `w`: clock, the event queue's
+  /// sequence counter and pending keys (EventQueue::ckpt_save), and every
   /// pending cross-domain mailbox key in (when, src, seq) order. Must be
   /// called while no event is executing and staged_ is empty — i.e. at an
   /// epoch boundary (DESIGN.md §14).

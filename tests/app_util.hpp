@@ -52,6 +52,8 @@ struct AppRunResult {
   std::string span_dump;
   std::uint64_t trace_dropped = 0;
   app::AppResult app;
+  std::uint64_t fast_hits = 0;  ///< see RunResult
+  std::uint64_t executed = 0;
 };
 
 inline app::World::Program make_app_program(const AppRunSpec& spec,
@@ -98,6 +100,8 @@ inline AppRunResult run_app_and_dump_stats(const AppRunSpec& spec) {
   }
 
   res.end_time = machine.now();
+  res.fast_hits = fast_path_hits(machine);
+  res.executed = machine.events_executed();
   auto reg = sys::collect_stats(machine);
   world.add_stats(reg);
   std::ostringstream os;

@@ -118,6 +118,56 @@ TEST(CkptReplayTest, ReliableUnderFaultsReplays) {
   expect_replay_identical(spec, 20 * sim::kMicrosecond);
 }
 
+/// Byte-compare every component chunk of two captures taken in different
+/// fast-path modes. The event-domain chunks ("nK.kernel") are skipped:
+/// their pending (when, seq) keys differ by design while a bypass or batch
+/// is in flight (one completion key instead of one key per phase, plus
+/// revoked completions that wait in the queue as no-ops).
+void expect_components_identical(const ckpt::Snapshot& a,
+                                 const ckpt::Snapshot& b) {
+  ASSERT_EQ(a.tick, b.tick);
+  ASSERT_EQ(a.chunks().size(), b.chunks().size());
+  for (std::size_t i = 0; i < a.chunks().size(); ++i) {
+    const auto& [name, bytes] = a.chunks()[i];
+    ASSERT_EQ(name, b.chunks()[i].first);
+    if (!name.ends_with(".kernel")) {
+      EXPECT_TRUE(bytes == b.chunks()[i].second) << "chunk " << name;
+    }
+  }
+}
+
+TEST(CkptReplayTest, ComponentStateIsFastpathInvariantUnderFaults) {
+  // Snapshots record simulated state only, not host-side counts (events
+  // executed, bypass hits, batched ticks), so a capture with the fast
+  // paths on matches a replay with them off, and the reverse, while the
+  // injector drops and corrupts packets.
+  for (const bool capture_fast : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "capture fastpath=" << capture_fast);
+    test::RunSpec spec =
+        base_spec(test::Workload::kReliable, 0, capture_fast);
+    spec.net = sys::Machine::NetKind::kFatTree;
+    spec.fault.seed = 7;
+    spec.fault.drop_rate = 0.05;
+    spec.fault.corrupt_rate = 0.05;
+    test::RunSpec replay_spec = spec;
+    replay_spec.fastpath = !capture_fast;
+
+    test::SteppableRun a(spec);
+    test::SteppableRun b(replay_spec);
+    for (const sim::Tick at : {4 * sim::kMicrosecond, 10 * sim::kMicrosecond,
+                               20 * sim::kMicrosecond}) {
+      const ckpt::Snapshot snap = a.capture_at(at);
+      expect_components_identical(snap, b.capture_at(snap.tick));
+      EXPECT_EQ(a.machine.events_scheduled(), b.machine.events_scheduled());
+    }
+    a.finish();
+    b.finish();
+    expect_components_identical(ckpt::capture(a.machine, "final"),
+                                ckpt::capture(b.machine, "final"));
+    EXPECT_EQ(a.stats_json(), b.stats_json());
+  }
+}
+
 TEST(CkptReplayTest, PartitionedCaptureIsThreadCountInvariant) {
   // All partitioned machines have the same domain shape (one per node),
   // so the snapshot is a function of the spec and the tick alone —

@@ -161,9 +161,10 @@ TEST_F(EndpointTest, ExpressIsFasterThanBasic) {
   sim::Tick basic_done = 0, express_done = 0;
   bool got_b = false, got_e = false;
 
+  // send() runs lazily, after this statement: the payload must outlive it.
+  const auto payload = test::pattern_bytes(5);
   const sim::Tick t0 = machine.kernel().now();
-  machine.node(0).ap().run(
-      eps[0]->send(map.user0(1), test::pattern_bytes(5)));
+  machine.node(0).ap().run(eps[0]->send(map.user0(1), payload));
   machine.node(1).ap().run(
       [](msg::Endpoint* ep, bool* done) -> sim::Co<void> {
         (void)co_await ep->recv();

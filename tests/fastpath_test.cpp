@@ -9,7 +9,7 @@
 #include <string>
 
 #include "sys/stats_dump.hpp"
-#include "tests/test_util.hpp"
+#include "tests/app_util.hpp"
 #include "xfer/approaches.hpp"
 
 namespace sv {
@@ -45,8 +45,8 @@ XferOut run_xfer(int approach, std::uint32_t bytes, bool fastpath) {
   EXPECT_TRUE(res.ok) << "approach " << approach << " failed verification";
 
   XferOut out;
+  out.fast_hits = test::fast_path_hits(machine);
   for (sim::NodeId i = 0; i < machine.size(); ++i) {
-    out.fast_hits += machine.node(i).bus().fast_path_hits();
     out.quantum_ticks += machine.node(i).ap().quantum_ticks();
     out.quantum_ticks += machine.node(i).sp().quantum_ticks();
   }
@@ -122,6 +122,63 @@ TEST(FastPath, ShmWorkloadByteIdentical) {
   spec.nodes = 4;
   spec.ops = 40;
   expect_runspec_identical(spec);
+}
+
+/// Fault injection does not switch the fast paths off, and they stay
+/// transparent under it: the reliable ring on a fat tree with every link,
+/// router and Rx fault armed, over three seeds.
+TEST(FastPath, ReliableUnderFaultsByteIdentical) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    test::RunSpec spec;
+    spec.workload = test::Workload::kReliable;
+    spec.nodes = 4;
+    spec.net = sys::Machine::NetKind::kFatTree;
+    spec.count = 16;
+    spec.fault.seed = seed;
+    spec.fault.drop_rate = 0.03;
+    spec.fault.corrupt_rate = 0.03;
+    spec.fault.link_down_rate = 0.01;
+    spec.fault.router_stall_rate = 0.05;
+    spec.fault.rx_overflow_rate = 0.02;
+
+    spec.fastpath = true;
+    const auto fast = test::run_machine_and_dump_stats(spec);
+    spec.fastpath = false;
+    const auto slow = test::run_machine_and_dump_stats(spec);
+    ASSERT_TRUE(fast.completed);
+    ASSERT_TRUE(slow.completed);
+    EXPECT_GT(fast.fault_stats.drops.value(), 0u);
+    EXPECT_GT(fast.fast_hits, 0u);
+    EXPECT_EQ(slow.fast_hits, 0u);
+    EXPECT_LT(fast.executed, slow.executed);
+    EXPECT_EQ(fast.end_time, slow.end_time);
+    EXPECT_EQ(fast.stats_json, slow.stats_json);
+  }
+}
+
+/// app.kv over msg on 16 nodes with 150 requests per client: the drain
+/// stops with bus reads mid-data-tenure, so both modes must count a
+/// transaction only once it ends.
+TEST(FastPath, KvMsg16NodesByteIdentical) {
+  test::AppRunSpec spec;
+  spec.app = test::AppKind::kKv;
+  spec.transport = app::TransportKind::kMsg;
+  spec.nodes = 16;
+  spec.kv.requests = 150;
+
+  spec.fastpath = true;
+  const test::AppRunResult fast = test::run_app_and_dump_stats(spec);
+  spec.fastpath = false;
+  const test::AppRunResult slow = test::run_app_and_dump_stats(spec);
+  ASSERT_TRUE(fast.completed);
+  ASSERT_TRUE(slow.completed);
+  EXPECT_EQ(fast.app.errors, 0u);
+  EXPECT_GT(fast.fast_hits, 0u);
+  EXPECT_LT(fast.executed, slow.executed);
+  EXPECT_EQ(fast.end_time, slow.end_time);
+  EXPECT_EQ(fast.app.checksum, slow.app.checksum);
+  EXPECT_EQ(fast.stats_json, slow.stats_json);
 }
 
 /// Fast paths compose with the partitioned kernel: a threaded fast run

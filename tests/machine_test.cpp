@@ -139,8 +139,8 @@ TEST(MachineTest, DisabledEnginesLeaveNullAccessors) {
   auto ep0 = machine.node(0).make_endpoint();
   auto ep1 = machine.node(1).make_endpoint();
   bool got = false;
-  machine.node(0).ap().run(
-      ep0.send(machine.addr_map().user0(1), test::pattern_bytes(8)));
+  const auto payload = test::pattern_bytes(8);  // outlives the lazy send
+  machine.node(0).ap().run(ep0.send(machine.addr_map().user0(1), payload));
   machine.node(1).ap().run(
       [](msg::Endpoint* ep, bool* d) -> sim::Co<void> {
         (void)co_await ep->recv();
@@ -155,8 +155,8 @@ TEST(MachineTest, DeterministicAcrossRuns) {
     auto ep0 = machine.node(0).make_endpoint();
     auto ep3 = machine.node(3).make_endpoint();
     bool got = false;
-    machine.node(0).ap().run(
-        ep0.send(machine.addr_map().user0(3), test::pattern_bytes(32)));
+    const auto payload = test::pattern_bytes(32);  // outlives the lazy send
+    machine.node(0).ap().run(ep0.send(machine.addr_map().user0(3), payload));
     machine.node(3).ap().run(
         [](msg::Endpoint* ep, bool* d) -> sim::Co<void> {
           (void)co_await ep->recv();
@@ -175,8 +175,8 @@ TEST(MachineTest, NetworkStatsAccumulate) {
   auto ep0 = machine.node(0).make_endpoint();
   auto ep1 = machine.node(1).make_endpoint();
   bool got = false;
-  machine.node(0).ap().run(
-      ep0.send(machine.addr_map().user0(1), test::pattern_bytes(8)));
+  const auto payload = test::pattern_bytes(8);  // outlives the lazy send
+  machine.node(0).ap().run(ep0.send(machine.addr_map().user0(1), payload));
   machine.node(1).ap().run(
       [](msg::Endpoint* ep, bool* d) -> sim::Co<void> {
         (void)co_await ep->recv();

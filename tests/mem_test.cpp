@@ -347,6 +347,20 @@ struct RetryLoopOutcome {
 
 constexpr sim::Tick kApLead = 12000;  // two 166 MHz aP cycles
 
+std::string bus_stats_json(const MemBus& bus, const sim::Kernel& kernel) {
+  const BusStats& st = bus.stats();
+  sim::StatRegistry reg;
+  reg.set("bus.transactions", static_cast<double>(st.transactions.value()));
+  reg.set("bus.retries", static_cast<double>(st.retries.value()));
+  reg.set("bus.data_beats", static_cast<double>(st.data_beats.value()));
+  reg.set("bus.data_occupancy", st.data_busy.occupancy(kernel.now()));
+  reg.set("bus.latency_count", static_cast<double>(st.latency_ps.count()));
+  reg.set("bus.latency_mean", st.latency_ps.mean());
+  std::ostringstream os;
+  reg.dump_json(os);
+  return os.str();
+}
+
 RetryLoopOutcome run_retry_loop(bool fastpath, unsigned max_retries) {
   sim::Kernel kernel;
   MemBus::Params p;
@@ -377,19 +391,9 @@ RetryLoopOutcome run_retry_loop(bool fastpath, unsigned max_retries) {
   }(&bus, ap_id, req, max_retries, &kernel, &out));
   kernel.run();
 
-  const BusStats& st = bus.stats();
-  sim::StatRegistry reg;
-  reg.set("bus.transactions", static_cast<double>(st.transactions.value()));
-  reg.set("bus.retries", static_cast<double>(st.retries.value()));
-  reg.set("bus.data_beats", static_cast<double>(st.data_beats.value()));
-  reg.set("bus.data_occupancy", st.data_busy.occupancy(kernel.now()));
-  reg.set("bus.latency_count", static_cast<double>(st.latency_ps.count()));
-  reg.set("bus.latency_mean", st.latency_ps.mean());
-  std::ostringstream os;
-  reg.dump_json(os);
-  out.stats_json = os.str();
+  out.stats_json = bus_stats_json(bus, kernel);
   out.scheduled = kernel.events_scheduled();
-  out.retries = st.retries.value();
+  out.retries = bus.stats().retries.value();
   out.fast_hits = bus.fast_path_hits();
   out.retries_left = retrier.retries_left;
   return out;
@@ -437,6 +441,79 @@ TEST(BusRetryLoop, BoundedRetryGivesUpAfterMaxTries) {
     EXPECT_EQ(out.done,
               kApLead + p.clock.until_next_edge(kApLead) +
                   p.clock.to_ticks(2 * p.address_cycles + p.retry_backoff));
+  }
+}
+
+// --- When a transaction counts (DESIGN.md §12.2) ----------------------------
+//
+// A data transaction counts when its data tenure ends, with its beats, in
+// both modes. A run stopped between the address-tenure end and the
+// data-tenure end therefore dumps the same counters whether the read went
+// step by step or through the bypass.
+
+struct StopOutcome {
+  std::string mid_json;
+  std::uint64_t mid_transactions = 0;
+  std::uint64_t mid_beats = 0;
+  std::string end_json;
+  std::uint64_t end_transactions = 0;
+  std::uint64_t end_beats = 0;
+  std::uint64_t fast_hits = 0;
+};
+
+StopOutcome run_stopped_read(bool fastpath, sim::Tick stop) {
+  sim::Kernel kernel;
+  MemBus::Params p;
+  p.fastpath = fastpath;
+  MemBus bus{kernel, "bus", p};
+  AcceptAllDevice responder;
+  QuietMaster ap{"aP"};
+  bus.attach(&responder);
+  const int ap_id = bus.attach(&ap);
+
+  std::byte buf[8] = {};
+  BusRequest req;
+  req.op = BusOp::kReadSingle;
+  req.addr = 0x100;
+  req.size = 8;
+  req.rdata = buf;
+  sim::spawn([](MemBus* b, int id, BusRequest r) -> sim::Co<void> {
+    co_await b->transact(id, r);
+  }(&bus, ap_id, req));
+
+  StopOutcome out;
+  kernel.run_until(stop);
+  out.mid_json = bus_stats_json(bus, kernel);
+  out.mid_transactions = bus.stats().transactions.value();
+  out.mid_beats = bus.stats().data_beats.value();
+  kernel.run();
+  out.end_json = bus_stats_json(bus, kernel);
+  out.end_transactions = bus.stats().transactions.value();
+  out.end_beats = bus.stats().data_beats.value();
+  out.fast_hits = bus.fast_path_hits();
+  return out;
+}
+
+TEST(BusCounting, DataTransactionCountsWhenItsDataTenureEnds) {
+  // Default clock, issue at tick 0 (a bus edge): the address tenure ends
+  // at 2 cycles, the data tenure at 2 + 2 (responder latency) + 1 beat.
+  const MemBus::Params p;
+  const sim::Tick addr_end = p.clock.to_ticks(p.address_cycles);
+  const sim::Tick data_end = p.clock.to_ticks(p.address_cycles + 2 + 1);
+  for (const sim::Tick stop : {addr_end, (addr_end + data_end) / 2}) {
+    SCOPED_TRACE(::testing::Message() << "stop=" << stop);
+    const auto fast = run_stopped_read(true, stop);
+    const auto slow = run_stopped_read(false, stop);
+    EXPECT_EQ(fast.fast_hits, 1u);  // the bypass really engaged
+    EXPECT_EQ(slow.fast_hits, 0u);
+    for (const auto& o : {fast, slow}) {
+      EXPECT_EQ(o.mid_transactions, 0u);
+      EXPECT_EQ(o.mid_beats, 0u);
+      EXPECT_EQ(o.end_transactions, 1u);
+      EXPECT_EQ(o.end_beats, 1u);
+    }
+    EXPECT_EQ(fast.mid_json, slow.mid_json);
+    EXPECT_EQ(fast.end_json, slow.end_json);
   }
 }
 

@@ -72,8 +72,8 @@ TEST(StatsDumpTest, CollectsPerNodeAndMachineCounters) {
   auto ep0 = machine.node(0).make_endpoint();
   auto ep1 = machine.node(1).make_endpoint();
   bool got = false;
-  machine.node(0).ap().run(
-      ep0.send(machine.addr_map().user0(1), test::pattern_bytes(16)));
+  const auto payload = test::pattern_bytes(16);  // outlives the lazy send
+  machine.node(0).ap().run(ep0.send(machine.addr_map().user0(1), payload));
   machine.node(1).ap().run(
       [](msg::Endpoint* ep, bool* d) -> sim::Co<void> {
         (void)co_await ep->recv();

@@ -118,7 +118,19 @@ struct RunResult {
   std::string span_dump;     ///< trace::canonical_span_dump (tracing only)
   std::uint64_t trace_dropped = 0;
   fault::Stats fault_stats;  ///< zeroes when the plan created no injector
+  // Mode-variant engagement counters, deliberately outside stats_json.
+  std::uint64_t fast_hits = 0;  ///< bus bypass completions, all nodes
+  std::uint64_t executed = 0;   ///< host events dispatched
 };
+
+/// Bus bypass completions summed over every node (0 in slow mode).
+inline std::uint64_t fast_path_hits(sys::Machine& machine) {
+  std::uint64_t hits = 0;
+  for (sim::NodeId i = 0; i < machine.size(); ++i) {
+    hits += machine.node(i).bus().fast_path_hits();
+  }
+  return hits;
+}
 
 namespace detail {
 
@@ -295,6 +307,8 @@ inline RunResult run_machine_and_dump_stats(const RunSpec& spec) {
   }
 
   res.end_time = machine.now();
+  res.fast_hits = fast_path_hits(machine);
+  res.executed = machine.events_executed();
   if (machine.fault_injector() != nullptr) {
     res.fault_stats = machine.fault_injector()->stats();
   }
