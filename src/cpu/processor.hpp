@@ -15,7 +15,6 @@
 #include "mem/bus.hpp"
 #include "mem/cache.hpp"
 #include "sim/coro.hpp"
-#include "sim/fastpath.hpp"
 #include "sim/kernel.hpp"
 #include "sim/stats.hpp"
 
@@ -26,11 +25,6 @@ class Processor : public sim::SimObject, public mem::BusDevice {
   struct Params {
     sim::Clock clock{6000};        // 166.67 MHz 604e
     sim::Cycles op_overhead = 2;   // issue overhead per memory operation
-    /// Quantum batching: fold a guaranteed single-chunk cache hit (work
-    /// charge + hit delay) into one kernel event when the access provably
-    /// cannot observe or affect shared state (DESIGN.md §12). Bit-identical
-    /// either way; defaults off under SV_NO_FASTPATH=1.
-    bool fastpath = sim::fastpath_default();
   };
 
   /// `cache` may be null (the sP model runs uncached).
@@ -104,13 +98,7 @@ class Processor : public sim::SimObject, public mem::BusDevice {
   [[nodiscard]] sim::Tick busy() const { return busy_.busy(); }
   [[nodiscard]] const sim::Counter& ops() const { return ops_; }
 
-  /// Simulated ticks covered by batched quanta. Deliberately an accessor,
-  /// not a StatRegistry entry: it is zero in slow mode by construction and
-  /// the registry dump must stay byte-identical across modes.
-  [[nodiscard]] sim::Tick quantum_ticks() const { return quantum_ticks_; }
-
-  /// Snapshot state: op count and busy time, but not the mode-variant
-  /// batched-quantum coverage.
+  /// Snapshot state: op count and busy time.
   void ckpt_save(ckpt::Writer& w) const;
 
   // --- BusDevice (the processor masters the bus for uncached ops; it never
@@ -122,64 +110,12 @@ class Processor : public sim::SimObject, public mem::BusDevice {
   [[nodiscard]] bool bus_snoop_stable(const mem::BusRequest&) const override {
     return true;  // bus_snoop is unconditionally kIgnore
   }
-  [[nodiscard]] bool bus_observe_trivial(
-      const mem::BusRequest&) const override {
-    return true;  // bus_observe is the default no-op
-  }
-  void fastpath_revoke() override { batch_revoke(); }
 
  private:
-  /// In-flight batched quantum. At most one can be live per processor —
-  /// try_batch refuses to engage while one is — but programs sharing the
-  /// processor (several coroutines may issue cached accesses concurrently,
-  /// e.g. the app runtime's ranks plus its shm dispatcher) mean a revoked
-  /// waiter can still be pending its wake event while a *new* batch
-  /// engages and reuses this record. Per-await outcome state therefore
-  /// lives in the awaiter (stable inside the suspended coroutine frame),
-  /// never in this shared record.
-  struct Batch {
-    bool live = false;
-    std::uint64_t gen = 0;   // liveness token for the completion event
-    std::uint64_t s0 = 0;    // work-phase key; completion key is s0 + 1
-    sim::Tick t0 = 0;        // operation entry time
-    sim::Tick t_work = 0;    // end of the issue-overhead charge
-    sim::Tick t_end = 0;     // completion (t_work + cache hit latency)
-    void* line = nullptr;    // cache line handle captured at engagement
-    mem::Addr addr = 0;
-    std::byte* rdata = nullptr;
-    const std::byte* wdata = nullptr;
-    std::size_t size = 0;
-    std::coroutine_handle<> waiter;
-    int* outcome = nullptr;  // awaiter-owned; 0 completed, 1 revoked
-  };
-
-  struct BatchAwait {
-    Processor& cpu;
-    /// 0 = batch completed in one event; 1 = revoked, resume fell back to
-    /// the slow schedule's work key. Written through Batch::outcome before
-    /// this awaiter resumes; owned here so a later engagement overwriting
-    /// the shared Batch record cannot alias it.
-    mutable int result = 0;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) const {
-      cpu.batch_.waiter = h;
-      cpu.batch_.outcome = &result;
-    }
-    int await_resume() const noexcept { return result; }
-  };
-
   /// One cacheable access: a load into `rdata` or a store from `wdata`
   /// (the other is null).
   sim::Co<void> cached(mem::Addr a, std::byte* rdata, const std::byte* wdata,
                        std::size_t size);
-
-  /// Check quantum-batch eligibility for a cached access and, on success,
-  /// engage: lock the cache, fill batch_ and schedule the completion event
-  /// at (t_end, s0 + 1).
-  bool try_batch(mem::Addr a, std::byte* rdata, const std::byte* wdata,
-                 std::size_t size, std::uint64_t s0, sim::Tick t0);
-  void batch_complete(std::uint64_t gen);
-  void batch_revoke();
 
   /// Record a busy span mirroring a busy_.add_busy charge, so the trace
   /// lane's occupancy equals busy()/now exactly.
@@ -192,8 +128,6 @@ class Processor : public sim::SimObject, public mem::BusDevice {
   sim::Semaphore mutex_;
   sim::BusyTracker busy_;
   sim::Counter ops_;
-  sim::Tick quantum_ticks_ = 0;
-  Batch batch_;
   trace::TrackId trace_track_ = trace::kNoTrack;
 };
 

@@ -195,15 +195,7 @@ void MemBus::fast_wake() {
   fast_rec_.waiter.resume();
 }
 
-void MemBus::revoke_fastpaths() {
-  if (!params_.fastpath) {
-    return;
-  }
-  if (live_device_fast_ != 0) {
-    for (BusDevice* d : devices_) {
-      d->fastpath_revoke();
-    }
-  }
+void MemBus::revoke_fastpath() {
   FastRecord& r = fast_rec_;
   if (!r.live || r.committed) {
     return;
@@ -260,10 +252,10 @@ sim::Co<BusResult> MemBus::issue(int requester_id, BusRequest req,
   req.requester = requester_id;
   for (unsigned tries = 1;; ++tries) {
     // Entry is the revocation choke point: any new master (or any operation
-    // that could invalidate a fast path's assumptions) passes through here
-    // before arbitrating, so in-flight bypasses fold back onto the slow
+    // that could invalidate the bypass's assumptions) passes through here
+    // before arbitrating, so an in-flight bypass folds back onto the slow
     // schedule before this transaction can observe anything.
-    revoke_fastpaths();
+    revoke_fastpath();
     const sim::Tick lead = req.lead_ticks;
     // Issue time: where the slow path finishes the requester's folded-in
     // lead (work/decode) delay and begins arbitrating. Latency stats are
@@ -431,161 +423,6 @@ sim::Co<BusResult> MemBus::issue(int requester_id, BusRequest req,
     stats_.latency_ps.sample(now() - start);
     co_return res;
   }
-}
-
-// --- Tenure coalescing ------------------------------------------------------
-
-namespace {
-/// Upper bound on tenures folded into one event. Bounds the per-burst
-/// planning work and the quiet-window length the burst must prove.
-constexpr std::size_t kMaxBurstLines = 64;
-}  // namespace
-
-sim::Co<std::size_t> MemBus::transact_burst(int requester_id, Addr addr,
-                                            std::size_t lines,
-                                            std::byte* rdata,
-                                            const std::byte* wdata,
-                                            bool from_ap) {
-  assert((rdata != nullptr) != (wdata != nullptr));
-  if (!params_.fastpath || lines < 2 || fast_blockers() ||
-      addr_bus_.available() != 1 || data_bus_.available() != 1 ||
-      fast_rec_.wake_pending) {
-    co_return 0;
-  }
-  revoke_fastpaths();
-
-  const BusOp op = rdata != nullptr ? BusOp::kRead : BusOp::kWriteLine;
-  const std::size_t n = std::min(lines, kMaxBurstLines);
-  const sim::Tick start = now();
-
-  // Plan every tenure; bail to the per-tenure path on the first one whose
-  // interference-freedom cannot be proven. Responder latency can differ
-  // per line, so timing is accumulated tenure by tenure. The first tenure
-  // pays the caller's alignment; each completion lands on a clock edge, so
-  // later tenures align for free — the property that makes the whole burst
-  // closed-form.
-  std::vector<BurstTenure>& plan = burst_plan_;
-  plan.clear();
-  plan.reserve(n);
-
-  const sim::Cycles beats = kLineBytes / kBeatBytes;
-  sim::Tick t = start;
-  BusRequest probe;
-  probe.op = op;
-  probe.size = kLineBytes;
-  probe.requester = requester_id;
-  probe.from_ap = from_ap;
-  for (std::size_t li = 0; li < n; ++li) {
-    probe.addr = addr + li * kLineBytes;
-    int accept = -1;
-    sim::Cycles accept_latency = 0;
-    bool ok = true;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      if (static_cast<int>(i) == requester_id) {
-        continue;
-      }
-      BusDevice* d = devices_[i];
-      SnoopResult sr;
-      if (!d->bus_fast_probe(probe, &sr) || !d->bus_observe_trivial(probe)) {
-        ok = false;
-        break;
-      }
-      if (sr.action == SnoopAction::kAccept) {
-        if (accept >= 0) {
-          ok = false;
-          break;
-        }
-        accept = static_cast<int>(i);
-        accept_latency = sr.latency;
-      } else if (sr.action != SnoopAction::kIgnore) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok || accept < 0 || !devices_[accept]->bus_data_pure(probe)) {
-      break;
-    }
-    BurstTenure ten;
-    const sim::Tick t1 = t + params_.clock.until_next_edge(t);
-    ten.t2 = t1 + params_.clock.to_ticks(params_.address_cycles);
-    ten.t3 = ten.t2 + params_.clock.to_ticks(accept_latency + beats);
-    ten.accept = accept;
-    plan.push_back(ten);
-    t = ten.t3;
-  }
-  if (plan.size() < 2 || !kernel_.quiet_until(t)) {
-    co_return 0;
-  }
-
-  // Committed. Reserve the same three keys per tenure the per-tenure path
-  // would have (nothing else can dispatch inside the window, so the slow
-  // run's reservations are consecutive too), and fold all completions
-  // into one event at the last tenure's data-phase key.
-  const std::size_t count = plan.size();
-  const std::uint64_t s0 = kernel_.reserve_seqs(3 * count);
-  const std::uint64_t last_seq = s0 + 3 * count - 1;
-  const sim::Tick t_end = plan.back().t3;
-
-  struct BurstAwait {
-    MemBus& bus;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) const {
-      bus.burst_rec_.waiter = h;
-    }
-    void await_resume() const noexcept {}
-  };
-
-  BurstRecord& b = burst_rec_;
-  b.requester = requester_id;
-  b.op = op;
-  b.addr = addr;
-  b.rdata = rdata;
-  b.wdata = wdata;
-  b.from_ap = from_ap;
-  b.start = start;
-  b.count = count;
-  kernel_.schedule_at_seq(t_end, last_seq, [this] { burst_complete(); });
-  co_await BurstAwait{*this};
-  co_return count;
-}
-
-void MemBus::burst_complete() {
-  // Replay every tenure's completion effects in order. All responders are
-  // data-pure and all observers trivial, so nothing here schedules events —
-  // stats and byte movement only — and the end state matches the
-  // per-tenure run exactly.
-  const BurstRecord& b = burst_rec_;
-  sim::Tick prev = b.start;
-  for (std::size_t li = 0; li < b.count; ++li) {
-    const BurstTenure& ten = burst_plan_[li];
-    BusRequest req;
-    req.op = b.op;
-    req.addr = b.addr + li * kLineBytes;
-    req.size = kLineBytes;
-    req.requester = b.requester;
-    req.from_ap = b.from_ap;
-    BusResult res;
-    res.responder = ten.accept;
-    stats_.transactions.inc();
-    stats_.data_beats.inc(kLineBytes / kBeatBytes);
-    stats_.data_busy.add_busy(ten.t3 - ten.t2);
-    if (b.op == BusOp::kRead) {
-      req.rdata = b.rdata + li * kLineBytes;
-      devices_[ten.accept]->bus_read_data(
-          req, std::span<std::byte>(req.rdata, kLineBytes));
-    } else {
-      req.wdata = b.wdata + li * kLineBytes;
-      devices_[ten.accept]->bus_write_data(
-          req, std::span<const std::byte>(req.wdata, kLineBytes));
-    }
-    observe_all(req, res);
-    stats_.latency_ps.sample(ten.t3 - prev);
-    prev = ten.t3;
-  }
-  fast_hits_ += b.count;
-  // Resume last: the continuation may start a new burst that re-uses the
-  // record.
-  b.waiter.resume();
 }
 
 void MemBus::ckpt_save(ckpt::Writer& w) const {

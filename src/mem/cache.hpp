@@ -11,8 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -53,8 +51,9 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
                 Params params);
 
   /// Sentinel for read/write's chunk_seqs: reserve sequence numbers here,
-  /// at call entry. Callers that pre-reserve (the processor, so its quantum
-  /// batch consumes the identical numbers) pass the reserved base instead.
+  /// at call entry. Callers that pre-reserve (the processor, which reserves
+  /// its work key and the chunk keys in one block) pass the reserved base
+  /// instead.
   static constexpr std::uint64_t kAutoSeqs = ~std::uint64_t{0};
 
   /// Number of per-line chunks read()/write() split [addr, addr+size) into —
@@ -118,12 +117,9 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
   void bus_observe(const BusRequest& req, const BusResult& res) override;
 
   // Fast-path contract: when we hold no line for the address, the snoop is
-  // a pure miss and the observe a no-op — and a line can only appear via a
-  // bus transaction, which revokes in-flight fast paths on entry.
+  // a pure miss — and a line can only appear via a bus transaction, which
+  // revokes an in-flight bypass on entry.
   [[nodiscard]] bool bus_snoop_stable(const BusRequest& req) const override {
-    return find_line(req.addr) == nullptr;
-  }
-  [[nodiscard]] bool bus_observe_trivial(const BusRequest& req) const override {
     return find_line(req.addr) == nullptr;
   }
   /// Fused stable+snoop: one line search instead of the default's two
@@ -137,40 +133,6 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
     return true;
   }
 
-  // --- Processor quantum-batch support (DESIGN.md §12) --------------------
-  // The processor folds a guaranteed single-chunk hit into one kernel event.
-  // These helpers give it the pieces without exposing cache internals.
-
-  /// Engage a batch: when [addr, addr+size) is a single-chunk guaranteed
-  /// hit (line present; writes need M/E) and the cache is idle, acquire the
-  /// operation mutex and return an opaque line handle; else return nullptr.
-  /// The caller must finish with batch_commit() or batch_abort().
-  [[nodiscard]] void* batch_begin(Addr addr, std::size_t size, bool is_write);
-
-  /// Release the mutex of an engaged batch without side effects (early
-  /// revocation: the caller re-runs the access on the slow path).
-  void batch_abort();
-
-  /// Complete an engaged batch: hit stats, byte movement, M on write,
-  /// LRU touch, mutex release — exactly the slow hit path's actions at its
-  /// post-delay dispatch. The line handle was captured at engagement and is
-  /// committed blindly, mirroring the slow path's capture-across-delay.
-  void batch_commit(void* line_handle, Addr addr, std::byte* rdata,
-                    const std::byte* wdata, std::size_t size);
-
-  /// Hit latency in ticks (the batch's only timed component).
-  [[nodiscard]] sim::Tick hit_ticks() const {
-    return params_.cpu_clock.to_ticks(params_.hit_cycles);
-  }
-
-  /// Install the owning processor's revocation hook. The cache calls it on
-  /// entry to every path that could interleave with an in-flight batch
-  /// (flush/invalidate/purge and direct read/write), before taking the
-  /// operation mutex, so the batch folds back onto the slow schedule first.
-  void set_fastpath_revoke(std::function<void()> hook) {
-    revoke_hook_ = std::move(hook);
-  }
-
  private:
   struct Line {
     Addr tag = 0;
@@ -182,6 +144,9 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
   using Set = std::vector<Line>;
 
   [[nodiscard]] std::size_t set_index(Addr addr) const;
+  [[nodiscard]] sim::Tick hit_ticks() const {
+    return params_.cpu_clock.to_ticks(params_.hit_cycles);
+  }
   /// Allocate a set's ways on first line-creating access. All lines start
   /// invalid, which is indistinguishable from the set never existing.
   void materialize_set(std::size_t set) {
@@ -206,13 +171,6 @@ class SnoopingCache : public sim::SimObject, public BusDevice {
   std::uint64_t lru_clock_ = 0;
   sim::Semaphore op_mutex_;  // one processor-side operation at a time
   CacheStats stats_;
-  std::function<void()> revoke_hook_;
-
-  void revoke_batches() {
-    if (revoke_hook_) {
-      revoke_hook_();
-    }
-  }
 };
 
 }  // namespace sv::mem

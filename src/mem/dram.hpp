@@ -40,15 +40,8 @@ class DramCtrl : public sim::SimObject, public BusDevice {
   void bus_write_data(const BusRequest& req,
                       std::span<const std::byte> in) override;
 
-  // Fast-path contract: the snoop is a pure range check, observe is the
-  // base-class no-op, and the data callbacks only memcpy and bump counters.
+  // Fast-path contract: the snoop is a pure range check.
   [[nodiscard]] bool bus_snoop_stable(const BusRequest&) const override {
-    return true;
-  }
-  [[nodiscard]] bool bus_observe_trivial(const BusRequest&) const override {
-    return true;
-  }
-  [[nodiscard]] bool bus_data_pure(const BusRequest&) const override {
     return true;
   }
 

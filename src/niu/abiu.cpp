@@ -101,23 +101,6 @@ bool ABiu::bus_snoop_stable(const mem::BusRequest& req) const {
          (!in_numa(req.addr) && !ctrl_.cls().covers(req.addr));
 }
 
-bool ABiu::bus_observe_trivial(const mem::BusRequest& req) const {
-  const OpClass c = classify(req.op);
-  if ((c == OpClass::kStore ||
-       (c == OpClass::kWriteback && req.op != mem::BusOp::kFlush)) &&
-      in_tracked(req.addr)) {
-    return false;  // would dirty-mark the tracked line
-  }
-  if (mem::op_writes_data(req.op)) {
-    for (const ReflectRange& range : reflect_ranges_) {
-      if (req.addr >= range.base && req.addr < range.base + range.size) {
-        return false;  // would capture and forward the written data
-      }
-    }
-  }
-  return true;
-}
-
 mem::SnoopResult ABiu::snoop_niu_window(const mem::BusRequest& req) {
   const mem::Addr off = req.addr - kNiuBase;
   if (off < kAsramWindowOffset + ctrl_.sram(SramBank::kASram).size()) {
@@ -445,19 +428,6 @@ sim::Co<void> ABiu::master_read(mem::Addr addr, std::span<std::byte> out) {
     const std::size_t remaining = out.size() - done;
     mem::BusRequest req;
     if (a % mem::kLineBytes == 0 && remaining >= mem::kLineBytes) {
-      if (bus_.params().fastpath && remaining >= 2 * mem::kLineBytes) {
-        // Tenure coalescing: fold as many consecutive line reads as can be
-        // proven interference-free into one kernel event. Falls back to
-        // per-tenure transactions (below) when ineligible.
-        const std::size_t n = co_await bus_.transact_burst(
-            bus_id_, a, remaining / mem::kLineBytes, out.data() + done,
-            nullptr, false);
-        if (n > 0) {
-          stats_.master_reads.inc(n);
-          done += n * mem::kLineBytes;
-          continue;
-        }
-      }
       req.op = mem::BusOp::kRead;
       req.size = mem::kLineBytes;
     } else {
@@ -482,16 +452,6 @@ sim::Co<void> ABiu::master_write(mem::Addr addr,
     const std::size_t remaining = in.size() - done;
     mem::BusRequest req;
     if (a % mem::kLineBytes == 0 && remaining >= mem::kLineBytes) {
-      if (bus_.params().fastpath && remaining >= 2 * mem::kLineBytes) {
-        const std::size_t n = co_await bus_.transact_burst(
-            bus_id_, a, remaining / mem::kLineBytes, nullptr,
-            in.data() + done, false);
-        if (n > 0) {
-          stats_.master_writes.inc(n);
-          done += n * mem::kLineBytes;
-          continue;
-        }
-      }
       req.op = mem::BusOp::kWriteLine;
       req.size = mem::kLineBytes;
     } else {

@@ -28,35 +28,35 @@ void Config::set_bool(const std::string& key, bool value) {
   values_[key] = value ? "true" : "false";
 }
 
+const std::string* Config::find(const std::string& key) const {
+  read_.insert(key);
+  auto it = values_.find(key);
+  return it != values_.end() ? &it->second : nullptr;
+}
+
 std::string Config::get_string(const std::string& key,
                                const std::string& def) const {
-  auto it = values_.find(key);
-  return it != values_.end() ? it->second : def;
+  const std::string* v = find(key);
+  return v != nullptr ? *v : def;
 }
 
 std::uint64_t Config::get_u64(const std::string& key,
                               std::uint64_t def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return def;
-  }
-  return std::stoull(it->second, nullptr, 0);
+  const std::string* v = find(key);
+  return v != nullptr ? std::stoull(*v, nullptr, 0) : def;
 }
 
 double Config::get_double(const std::string& key, double def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return def;
-  }
-  return std::stod(it->second);
+  const std::string* v = find(key);
+  return v != nullptr ? std::stod(*v) : def;
 }
 
 bool Config::get_bool(const std::string& key, bool def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
+  const std::string* found = find(key);
+  if (found == nullptr) {
     return def;
   }
-  const std::string& v = it->second;
+  const std::string& v = *found;
   if (v == "true" || v == "1" || v == "yes" || v == "on") {
     return true;
   }
@@ -70,6 +70,16 @@ void Config::merge(const Config& other) {
   for (const auto& [k, v] : other.values_) {
     values_[k] = v;
   }
+}
+
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> out;
+  for (const auto& [k, v] : values_) {
+    if (read_.count(k) == 0) {
+      out.push_back(k);
+    }
+  }
+  return out;
 }
 
 }  // namespace sv::sim

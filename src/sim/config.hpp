@@ -1,10 +1,13 @@
 // Simple typed key=value configuration store used to parameterize the
-// machine (clock periods, queue sizes, firmware handler costs, ...).
+// machine (clock periods, queue sizes, firmware handler costs, ...). It
+// remembers which keys were read, so a driver that reads everything it
+// understands up front can reject the rest as typos.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,7 +28,7 @@ class Config {
   void set_bool(const std::string& key, bool value);
 
   [[nodiscard]] bool contains(const std::string& key) const {
-    return values_.count(key) != 0;
+    return find(key) != nullptr;
   }
 
   [[nodiscard]] std::string get_string(const std::string& key,
@@ -42,8 +45,15 @@ class Config {
   /// Merge `other` on top of this config (other wins on conflicts).
   void merge(const Config& other);
 
+  /// Keys that no contains()/get_*() call has asked for yet, in key order.
+  [[nodiscard]] std::vector<std::string> unread_keys() const;
+
  private:
+  /// The value of `key` (nullptr when unset); marks the key read.
+  [[nodiscard]] const std::string* find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace sv::sim

@@ -1,9 +1,9 @@
 // Global fast-path kill switch.
 //
-// Fast paths (DESIGN.md §12) are on by default; SV_NO_FASTPATH=1 in the
-// environment forces every Params.fastpath default to false, which is the
-// escape hatch the byte-identity tests and the golden corpus use to compare
-// modes. Components read the environment once — per-run toggling goes
+// The bus bypass (DESIGN.md §12) is on by default; SV_NO_FASTPATH=1 in the
+// environment forces the MemBus::Params.fastpath default to false, which is
+// the escape hatch the byte-identity tests and the golden corpus use to
+// compare modes. Components read the environment once — per-run toggling goes
 // through the explicit Params flags, not the environment.
 #pragma once
 
@@ -11,7 +11,7 @@
 
 namespace sv::sim {
 
-/// Default value for every fast-path Params flag: true unless
+/// Default value of the fast-path Params flag: true unless
 /// SV_NO_FASTPATH is set to a non-empty value other than "0".
 inline bool fastpath_default() {
   static const bool enabled = [] {

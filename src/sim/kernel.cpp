@@ -84,7 +84,6 @@ bool Kernel::dispatch_one(Tick bound) {
 
 Tick Kernel::run() {
   run_executed_ = 0;
-  run_bound_ = kTickInvalid;
   while (dispatch_one(kTickInvalid)) {
   }
   return now_;
@@ -92,7 +91,6 @@ Tick Kernel::run() {
 
 Tick Kernel::run_until(Tick t) {
   run_executed_ = 0;
-  run_bound_ = t;
   while (dispatch_one(t)) {
   }
   if (now_ < t) {

@@ -96,19 +96,6 @@ class Kernel {
   /// decide which phases of a bypassed operation have already "happened".
   [[nodiscard]] std::uint64_t current_seq() const { return current_seq_; }
 
-  /// True when nothing can dispatch in (now, until]: no queued event or
-  /// mailbox message in that window, and — in an epoch-bounded run — the
-  /// window does not extend past the epoch, so no cross-domain message
-  /// committed at the next barrier can land inside it either. Tenure
-  /// coalescing uses this to prove a whole burst is interference-free.
-  [[nodiscard]] bool quiet_until(Tick until) const {
-    const Tick nev = next_event_time();
-    if (nev != kTickInvalid && nev <= until) {
-      return false;
-    }
-    return run_bound_ == kTickInvalid || until <= run_bound_;
-  }
-
   /// Cross-domain mailbox: deliver `fn` at absolute time `when`, ordered by
   /// (when, src, seq) against every other posted message regardless of the
   /// order post() calls arrive in. `seq` must be monotone per `src` (the
@@ -230,7 +217,6 @@ class Kernel {
   bool deferred_mailbox_ = false;
   Tick now_ = 0;
   std::uint64_t current_seq_ = 0;
-  Tick run_bound_ = kTickInvalid;
   std::uint64_t executed_ = 0;
   std::uint64_t run_executed_ = 0;
   std::uint64_t event_limit_ = 0;

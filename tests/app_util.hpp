@@ -74,8 +74,6 @@ inline AppRunResult run_app_and_dump_stats(const AppRunSpec& spec) {
   mp.threads = spec.threads;
   mp.fault = spec.fault;
   mp.node.bus.fastpath = spec.fastpath;
-  mp.node.ap.fastpath = spec.fastpath;
-  mp.node.sp.fastpath = spec.fastpath;
   sys::Machine machine(mp);
   if (spec.trace_capacity > 0) {
     machine.enable_tracing(spec.trace_capacity);

@@ -120,8 +120,8 @@ TEST(CkptReplayTest, ReliableUnderFaultsReplays) {
 
 /// Byte-compare every component chunk of two captures taken in different
 /// fast-path modes. The event-domain chunks ("nK.kernel") are skipped:
-/// their pending (when, seq) keys differ by design while a bypass or batch
-/// is in flight (one completion key instead of one key per phase, plus
+/// their pending (when, seq) keys differ by design while a bus bypass is
+/// in flight (one completion key instead of one key per phase, plus
 /// revoked completions that wait in the queue as no-ops).
 void expect_components_identical(const ckpt::Snapshot& a,
                                  const ckpt::Snapshot& b) {
@@ -138,9 +138,9 @@ void expect_components_identical(const ckpt::Snapshot& a,
 
 TEST(CkptReplayTest, ComponentStateIsFastpathInvariantUnderFaults) {
   // Snapshots record simulated state only, not host-side counts (events
-  // executed, bypass hits, batched ticks), so a capture with the fast
-  // paths on matches a replay with them off, and the reverse, while the
-  // injector drops and corrupts packets.
+  // executed, bypass hits), so a capture with the bypass on matches a
+  // replay with it off, and the reverse, while the injector drops and
+  // corrupts packets.
   for (const bool capture_fast : {true, false}) {
     SCOPED_TRACE(::testing::Message() << "capture fastpath=" << capture_fast);
     test::RunSpec spec =

@@ -792,6 +792,16 @@ TEST(Config, MergeOverrides) {
   EXPECT_EQ(base.get_u64("b", 0), 3u);
 }
 
+TEST(Config, UnreadKeysAreTheOnesNothingAskedFor) {
+  const auto cfg = Config::from_args({"count=5", "cuont=5", "seed=1"});
+  EXPECT_EQ(cfg.unread_keys(),
+            (std::vector<std::string>{"count", "cuont", "seed"}));
+  (void)cfg.get_u64("count", 0);
+  (void)cfg.contains("seed");
+  (void)cfg.get_string("absent");  // asking for an unset key is harmless
+  EXPECT_EQ(cfg.unread_keys(), std::vector<std::string>{"cuont"});
+}
+
 TEST(Rng, DeterministicAndUniform) {
   Rng a(42);
   Rng b(42);

@@ -91,7 +91,7 @@ struct RunSpec {
   unsigned threads = 0;  ///< 0 = sequential single-domain machine
   sys::Machine::NetKind net = sys::Machine::NetKind::kIdeal;
   fault::Plan fault;
-  /// Functional-model fast paths (DESIGN.md §12). Defaults to the process
+  /// The bus bypass (DESIGN.md §12). Defaults to the process
   /// environment (SV_NO_FASTPATH); fastpath_test pins it both ways to
   /// assert byte-identity within one process.
   bool fastpath = sim::fastpath_default();
@@ -246,8 +246,6 @@ inline RunResult run_machine_and_dump_stats(const RunSpec& spec) {
   mp.threads = spec.threads;
   mp.fault = spec.fault;
   mp.node.bus.fastpath = spec.fastpath;
-  mp.node.ap.fastpath = spec.fastpath;
-  mp.node.sp.fastpath = spec.fastpath;
   sys::Machine machine(mp);
   if (spec.trace_capacity > 0) {
     machine.enable_tracing(spec.trace_capacity);

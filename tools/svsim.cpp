@@ -8,6 +8,9 @@
 // Usage:
 //   svsim <workload> [key=value ...]
 //
+// Every key is read before the machine is built; a key that nothing reads
+// (a typo such as cuont=5) is an error, exit code 2.
+//
 // Workloads:
 //   msg       all-to-all Basic messaging       (nodes, count, bytes<=88)
 //   express   all-to-all Express messaging     (nodes, count)
@@ -57,7 +60,10 @@
 //   --restore=FILE   rebuild the run from the snapshot's embedded config,
 //       replay to its capture tick, byte-verify every component chunk
 //       against the file, then continue to completion. Extra key=value
-//       args are rejected: the snapshot is the configuration.
+//       args are rejected: the snapshot is the configuration. The snapshot
+//       records the fast-path mode (fastpath=on|off, see SV_NO_FASTPATH);
+//       restoring it in the other mode is an error, exit code 2, because
+//       pending bus-bypass events are keyed differently in each mode.
 //   (key=value spellings ckpt.at / ckpt.every / ckpt.out also work.)
 #include <cstdio>
 #include <cstring>
@@ -75,6 +81,7 @@
 #include "shm/numa_region.hpp"
 #include "shm/scoma_region.hpp"
 #include "sim/config.hpp"
+#include "sim/fastpath.hpp"
 #include "sim/random.hpp"
 #include "sys/stats_dump.hpp"
 #include "trace/chrome_sink.hpp"
@@ -100,7 +107,28 @@ sys::Machine::Params machine_params(const sim::Config& cfg) {
   return p;
 }
 
-/// The workload-driver boilerplate every run_* repeats, factored out: the
+/// The driver keys every workload shares, read before the machine is built.
+struct DriverOptions {
+  std::uint64_t deadline_ms = 2000;
+  sim::Tick ckpt_at = 0;
+  sim::Tick ckpt_every = 0;
+  std::string ckpt_out;
+  bool stats = false;
+  bool stats_json = false;
+
+  static DriverOptions from_config(const sim::Config& cfg) {
+    DriverOptions o;
+    o.deadline_ms = cfg.get_u64("deadline_ms", o.deadline_ms);
+    o.ckpt_at = cfg.get_u64("ckpt.at", 0);
+    o.ckpt_every = cfg.get_u64("ckpt.every", 0);
+    o.ckpt_out = cfg.get_string("ckpt.out", "svsim.svck");
+    o.stats = cfg.get_bool("stats", false);
+    o.stats_json = cfg.get_string("stats_format", "text") == "json";
+    return o;
+  }
+};
+
+/// The workload-driver boilerplate every workload repeats, factored out: the
 /// per-node completion flags (one per node so each is only ever written by
 /// the domain that owns that node — the pattern that keeps every workload
 /// valid under threads=N), the run-until-deadline loop with its timeout
@@ -109,8 +137,11 @@ sys::Machine::Params machine_params(const sim::Config& cfg) {
 /// can append them while the owning objects are still alive.
 class Harness {
  public:
-  Harness(sys::Machine& machine, const sim::Config& cfg)
-      : machine_(machine), cfg_(cfg), done_(machine.size(), 0) {}
+  Harness(sys::Machine& machine, const sim::Config& cfg, DriverOptions opts)
+      : machine_(machine),
+        cfg_(cfg),
+        opts_(std::move(opts)),
+        done_(machine.size(), 0) {}
 
   [[nodiscard]] sys::Machine& machine() { return machine_; }
   [[nodiscard]] std::uint8_t* done_flag(sim::NodeId n) { return &done_[n]; }
@@ -133,6 +164,9 @@ class Harness {
   void set_world(const app::World* world) { world_ = world; }
   void set_restore(const ckpt::Snapshot* snap) { restore_ = snap; }
   void set_workload(std::string name) { workload_ = std::move(name); }
+  /// The fast-path mode line ("fastpath=on\n") snapshots carry; empty when
+  /// replaying an older snapshot that has none.
+  void set_mode_line(std::string line) { mode_line_ = std::move(line); }
 
   /// Drive the machine until `ready`; on deadline expiry prints the
   /// timeout diagnostic and returns false. Pauses at every scheduled
@@ -141,12 +175,10 @@ class Harness {
   bool drive(const std::function<bool()>& ready) {
     t0_ = machine_.now();
     const sim::Tick deadline =
-        machine_.now() +
-        cfg_.get_u64("deadline_ms", 2000) * sim::kMillisecond;
+        machine_.now() + opts_.deadline_ms * sim::kMillisecond;
 
-    const auto at = cfg_.get_u64("ckpt.at", 0);
-    const auto every = cfg_.get_u64("ckpt.every", 0);
-    sim::Tick next_save = at != 0 ? at : (every != 0 ? every : 0);
+    const sim::Tick every = opts_.ckpt_every;
+    sim::Tick next_save = opts_.ckpt_at != 0 ? opts_.ckpt_at : every;
     sim::Tick verify_at = restore_ != nullptr ? restore_->tick : 0;
 
     while (true) {
@@ -192,11 +224,11 @@ class Harness {
     return true;
   }
 
-  /// The run configuration a snapshot embeds: the workload name plus every
-  /// key=value except the ckpt.* directives themselves (a restored run
-  /// must not re-checkpoint).
+  /// The run configuration a snapshot embeds: the workload name, the
+  /// fast-path mode line, and every key=value except the ckpt.* directives
+  /// themselves (a restored run must not re-checkpoint).
   [[nodiscard]] std::string config_text() const {
-    std::string out = "workload=" + workload_ + "\n";
+    std::string out = "workload=" + workload_ + "\n" + mode_line_;
     for (const auto& [key, value] : cfg_.all()) {
       if (key.rfind("ckpt.", 0) == 0) {
         continue;
@@ -211,9 +243,8 @@ class Harness {
   }
 
   void save_checkpoint() const {
-    const auto every = cfg_.get_u64("ckpt.every", 0);
-    std::string path = cfg_.get_string("ckpt.out", "svsim.svck");
-    if (every != 0) {
+    std::string path = opts_.ckpt_out;
+    if (opts_.ckpt_every != 0) {
       path += "." + std::to_string(machine_.now()) + ".svck";
     }
     const ckpt::Snapshot snap = capture();
@@ -234,7 +265,7 @@ class Harness {
   /// the fallback call in main() becomes a no-op.
   void dump_stats(
       const std::function<void(sim::StatRegistry&)>& extra = nullptr) {
-    if (stats_dumped_ || !cfg_.get_bool("stats", false)) {
+    if (stats_dumped_ || !opts_.stats) {
       return;
     }
     stats_dumped_ = true;
@@ -242,7 +273,7 @@ class Harness {
     if (extra) {
       extra(reg);
     }
-    if (cfg_.get_string("stats_format", "text") == "json") {
+    if (opts_.stats_json) {
       reg.dump_json(std::cout);
     } else {
       std::printf("\n--- machine statistics ---\n");
@@ -253,130 +284,143 @@ class Harness {
  private:
   sys::Machine& machine_;
   const sim::Config& cfg_;
+  DriverOptions opts_;
   std::vector<std::uint8_t> done_;
   sim::Tick t0_ = 0;
   bool stats_dumped_ = false;
   std::string workload_;
+  std::string mode_line_;
   const app::World* world_ = nullptr;
   const ckpt::Snapshot* restore_ = nullptr;
 };
 
-int run_msg(Harness& h, const sim::Config& cfg, bool express) {
-  sys::Machine& machine = h.machine();
+/// A workload body, built by make_workload once every key it uses has been
+/// read from the config.
+using Workload = std::function<int(Harness&)>;
+
+Workload msg_workload(const sim::Config& cfg, bool express) {
   const auto count = cfg.get_u64("count", 100);
   const auto bytes = cfg.get_u64("bytes", 32);
-  const auto map = machine.addr_map();
+  return [=](Harness& h) {
+    sys::Machine& machine = h.machine();
+    const auto map = machine.addr_map();
 
-  std::vector<std::unique_ptr<msg::Endpoint>> eps;
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    eps.push_back(std::make_unique<msg::Endpoint>(
-        machine.node(n).ap(), machine.node(n).endpoint_config()));
-  }
+    std::vector<std::unique_ptr<msg::Endpoint>> eps;
+    for (sim::NodeId n = 0; n < machine.size(); ++n) {
+      eps.push_back(std::make_unique<msg::Endpoint>(
+          machine.node(n).ap(), machine.node(n).endpoint_config()));
+    }
 
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    machine.node(n).ap().run(
-        [](msg::Endpoint* ep, msg::AddressMap map, sim::NodeId self,
-           std::size_t nodes, std::uint64_t count, std::uint64_t bytes,
-           bool express_, std::uint8_t* d) -> sim::Co<void> {
-          std::vector<std::byte> payload(bytes);
-          for (std::uint64_t i = 0; i < count; ++i) {
-            const auto dst =
-                static_cast<sim::NodeId>((self + 1 + i % (nodes - 1)) %
-                                         nodes);
-            if (express_) {
-              co_await ep->send_express(
-                  static_cast<std::uint8_t>(map.express(dst)), 0,
-                  static_cast<std::uint32_t>(i));
-            } else {
-              co_await ep->send(map.user0(dst), payload);
+    for (sim::NodeId n = 0; n < machine.size(); ++n) {
+      machine.node(n).ap().run(
+          [](msg::Endpoint* ep, msg::AddressMap map, sim::NodeId self,
+             std::size_t nodes, std::uint64_t count, std::uint64_t bytes,
+             bool express_, std::uint8_t* d) -> sim::Co<void> {
+            std::vector<std::byte> payload(bytes);
+            for (std::uint64_t i = 0; i < count; ++i) {
+              const auto dst =
+                  static_cast<sim::NodeId>((self + 1 + i % (nodes - 1)) %
+                                           nodes);
+              if (express_) {
+                co_await ep->send_express(
+                    static_cast<std::uint8_t>(map.express(dst)), 0,
+                    static_cast<std::uint32_t>(i));
+              } else {
+                co_await ep->send(map.user0(dst), payload);
+              }
             }
-          }
-          for (std::uint64_t i = 0; i < count; ++i) {
-            if (express_) {
-              (void)co_await ep->recv_express();
-            } else {
-              (void)co_await ep->recv();
+            for (std::uint64_t i = 0; i < count; ++i) {
+              if (express_) {
+                (void)co_await ep->recv_express();
+              } else {
+                (void)co_await ep->recv();
+              }
             }
-          }
-          *d = 1;
-        }(eps[n].get(), map, n, machine.size(), count, bytes, express,
-          h.done_flag(n)));
-  }
-  if (!h.drive()) {
-    return 1;
-  }
-  const double us = h.elapsed_us();
-  const double total_bytes =
-      static_cast<double>(machine.size() * count * (express ? 5 : bytes));
-  std::printf("%s all-to-all: %zu nodes x %llu msgs in %.1f us "
-              "(%.1f MB/s aggregate payload)\n",
-              express ? "express" : "basic", machine.size(),
-              static_cast<unsigned long long>(count), us,
-              total_bytes / us);
-  return 0;
+            *d = 1;
+          }(eps[n].get(), map, n, machine.size(), count, bytes, express,
+            h.done_flag(n)));
+    }
+    if (!h.drive()) {
+      return 1;
+    }
+    const double us = h.elapsed_us();
+    const double total_bytes =
+        static_cast<double>(machine.size() * count * (express ? 5 : bytes));
+    std::printf("%s all-to-all: %zu nodes x %llu msgs in %.1f us "
+                "(%.1f MB/s aggregate payload)\n",
+                express ? "express" : "basic", machine.size(),
+                static_cast<unsigned long long>(count), us,
+                total_bytes / us);
+    return 0;
+  };
 }
 
-int run_xfer(sys::Machine& machine, const sim::Config& cfg) {
-  if (machine.partitioned()) {
-    std::fprintf(stderr,
-                 "svsim: the xfer harness is sequential-only; rerun "
-                 "without threads=\n");
-    return 2;
-  }
+Workload xfer_workload(const sim::Config& cfg) {
   const int approach = static_cast<int>(cfg.get_u64("approach", 3));
   const auto bytes = static_cast<std::uint32_t>(cfg.get_u64("bytes", 16384));
-  xfer::BlockTransferHarness harness(machine);
-  xfer::TransferSpec spec;
-  spec.src = 0x0010'0000;
-  spec.dst = approach >= 4 ? niu::kScomaBase + 0x8000 : 0x0040'0000;
-  spec.len = bytes;
   xfer::RunOptions opt;
   opt.consume = cfg.get_bool("consume", approach >= 4);
-  const auto res = harness.run(approach, spec, opt);
-  std::printf("approach %d, %u bytes: notify %.2f us (%.1f MB/s)%s, "
-              "tx aP %.2f us / tx sP %.2f us / rx sP %.2f us, %s\n",
-              approach, bytes,
-              static_cast<double>(res.latency()) / 1e6,
-              res.bandwidth_mbps(bytes),
-              opt.consume
-                  ? (", consumed " +
-                     std::to_string(
-                         static_cast<double>(res.consume_time - res.start) /
-                         1e6) +
-                     " us")
-                        .c_str()
-                  : "",
-              static_cast<double>(res.sender_ap_busy) / 1e6,
-              static_cast<double>(res.sender_sp_busy) / 1e6,
-              static_cast<double>(res.receiver_sp_busy) / 1e6,
-              res.ok ? "verified" : "VERIFY FAILED");
-  return res.ok ? 0 : 1;
+  return [=](Harness& h) {
+    sys::Machine& machine = h.machine();
+    if (machine.partitioned()) {
+      std::fprintf(stderr,
+                   "svsim: the xfer harness is sequential-only; rerun "
+                   "without threads=\n");
+      return 2;
+    }
+    xfer::BlockTransferHarness harness(machine);
+    xfer::TransferSpec spec;
+    spec.src = 0x0010'0000;
+    spec.dst = approach >= 4 ? niu::kScomaBase + 0x8000 : 0x0040'0000;
+    spec.len = bytes;
+    const auto res = harness.run(approach, spec, opt);
+    std::printf("approach %d, %u bytes: notify %.2f us (%.1f MB/s)%s, "
+                "tx aP %.2f us / tx sP %.2f us / rx sP %.2f us, %s\n",
+                approach, bytes,
+                static_cast<double>(res.latency()) / 1e6,
+                res.bandwidth_mbps(bytes),
+                opt.consume
+                    ? (", consumed " +
+                       std::to_string(
+                           static_cast<double>(res.consume_time - res.start) /
+                           1e6) +
+                       " us")
+                          .c_str()
+                    : "",
+                static_cast<double>(res.sender_ap_busy) / 1e6,
+                static_cast<double>(res.sender_sp_busy) / 1e6,
+                static_cast<double>(res.receiver_sp_busy) / 1e6,
+                res.ok ? "verified" : "VERIFY FAILED");
+    return res.ok ? 0 : 1;
+  };
 }
 
-int run_dma(Harness& h, const sim::Config& cfg) {
-  sys::Machine& machine = h.machine();
+Workload dma_workload(const sim::Config& cfg) {
   const auto bytes = static_cast<std::uint32_t>(cfg.get_u64("bytes", 65536));
-  auto ep0 = machine.node(0).make_endpoint();
-  auto ep1 = machine.node(1).make_endpoint();
-  bool got = false;
-  machine.node(0).ap().run(
-      [](msg::Endpoint* ep, msg::AddressMap map,
-         std::uint32_t n) -> sim::Co<void> {
-        co_await msg::dma_write(*ep, map, 0, 1, 0x100000, 0x200000, n,
-                                msg::AddressMap::kUser0L, 1);
-      }(&ep0, machine.addr_map(), bytes));
-  machine.node(1).ap().run(
-      [](msg::Endpoint* ep, bool* d) -> sim::Co<void> {
-        (void)co_await ep->recv();
-        *d = true;
-      }(&ep1, &got));
-  if (!h.drive([&] { return got; })) {
-    return 1;
-  }
-  const double us = h.elapsed_us();
-  std::printf("dma: %u bytes in %.1f us = %.1f MB/s\n", bytes, us,
-              static_cast<double>(bytes) / us);
-  return 0;
+  return [=](Harness& h) {
+    sys::Machine& machine = h.machine();
+    auto ep0 = machine.node(0).make_endpoint();
+    auto ep1 = machine.node(1).make_endpoint();
+    bool got = false;
+    machine.node(0).ap().run(
+        [](msg::Endpoint* ep, msg::AddressMap map,
+           std::uint32_t n) -> sim::Co<void> {
+          co_await msg::dma_write(*ep, map, 0, 1, 0x100000, 0x200000, n,
+                                  msg::AddressMap::kUser0L, 1);
+        }(&ep0, machine.addr_map(), bytes));
+    machine.node(1).ap().run(
+        [](msg::Endpoint* ep, bool* d) -> sim::Co<void> {
+          (void)co_await ep->recv();
+          *d = true;
+        }(&ep1, &got));
+    if (!h.drive([&] { return got; })) {
+      return 1;
+    }
+    const double us = h.elapsed_us();
+    std::printf("dma: %u bytes in %.1f us = %.1f MB/s\n", bytes, us,
+                static_cast<double>(bytes) / us);
+    return 0;
+  };
 }
 
 msg::ReliableChannel::Params reliable_params(const sim::Config& cfg) {
@@ -389,132 +433,134 @@ msg::ReliableChannel::Params reliable_params(const sim::Config& cfg) {
   return cp;
 }
 
-int run_reliable(Harness& h, const sim::Config& cfg) {
-  sys::Machine& machine = h.machine();
+Workload reliable_workload(const sim::Config& cfg) {
   const auto count = cfg.get_u64("count", 100);
   const auto bytes = cfg.get_u64("bytes", 64);
-  const auto map = machine.addr_map();
   const auto cp = reliable_params(cfg);
+  return [=](Harness& h) {
+    sys::Machine& machine = h.machine();
+    const auto map = machine.addr_map();
 
-  std::vector<std::unique_ptr<msg::Endpoint>> eps;
-  std::vector<std::unique_ptr<msg::ReliableChannel>> chans;
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    eps.push_back(std::make_unique<msg::Endpoint>(
-        machine.node(n).ap(), machine.node(n).endpoint_config()));
-    chans.push_back(
-        std::make_unique<msg::ReliableChannel>(*eps[n], map, n, cp));
-    chans[n]->set_give_up([&machine, n](sim::NodeId peer) {
-      std::fprintf(stderr, "svsim: n%u gave up on peer n%u\n", n, peer);
-      machine.node(n).niu().ctrl().shutdown_tx_queue(sys::Node::kTxUser0);
-    });
-    chans[n]->start();
-  }
+    std::vector<std::unique_ptr<msg::Endpoint>> eps;
+    std::vector<std::unique_ptr<msg::ReliableChannel>> chans;
+    for (sim::NodeId n = 0; n < machine.size(); ++n) {
+      eps.push_back(std::make_unique<msg::Endpoint>(
+          machine.node(n).ap(), machine.node(n).endpoint_config()));
+      chans.push_back(
+          std::make_unique<msg::ReliableChannel>(*eps[n], map, n, cp));
+      chans[n]->set_give_up([&machine, n](sim::NodeId peer) {
+        std::fprintf(stderr, "svsim: n%u gave up on peer n%u\n", n, peer);
+        machine.node(n).niu().ctrl().shutdown_tx_queue(sys::Node::kTxUser0);
+      });
+      chans[n]->start();
+    }
 
-  // Ring traffic: every node streams `count` payloads to its right
-  // neighbour and consumes `count` from its left.
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    machine.node(n).ap().run(
-        [](msg::ReliableChannel* ch, sim::NodeId self, std::size_t nodes,
-           std::uint64_t count_, std::uint64_t bytes_,
-           std::uint8_t* d) -> sim::Co<void> {
-          const auto right = static_cast<sim::NodeId>((self + 1) % nodes);
-          const auto left =
-              static_cast<sim::NodeId>((self + nodes - 1) % nodes);
-          for (std::uint64_t i = 0; i < count_; ++i) {
-            std::vector<std::byte> payload(bytes_);
-            for (std::size_t b = 0; b < payload.size(); ++b) {
-              payload[b] = static_cast<std::byte>(self + i + b);
+    // Ring traffic: every node streams `count` payloads to its right
+    // neighbour and consumes `count` from its left.
+    for (sim::NodeId n = 0; n < machine.size(); ++n) {
+      machine.node(n).ap().run(
+          [](msg::ReliableChannel* ch, sim::NodeId self, std::size_t nodes,
+             std::uint64_t count_, std::uint64_t bytes_,
+             std::uint8_t* d) -> sim::Co<void> {
+            const auto right = static_cast<sim::NodeId>((self + 1) % nodes);
+            const auto left =
+                static_cast<sim::NodeId>((self + nodes - 1) % nodes);
+            for (std::uint64_t i = 0; i < count_; ++i) {
+              std::vector<std::byte> payload(bytes_);
+              for (std::size_t b = 0; b < payload.size(); ++b) {
+                payload[b] = static_cast<std::byte>(self + i + b);
+              }
+              co_await ch->send(right, payload);
             }
-            co_await ch->send(right, payload);
-          }
-          for (std::uint64_t i = 0; i < count_; ++i) {
-            (void)co_await ch->recv(left);
-          }
-          *d = 1;
-        }(chans[n].get(), n, machine.size(), count, bytes, h.done_flag(n)));
-  }
+            for (std::uint64_t i = 0; i < count_; ++i) {
+              (void)co_await ch->recv(left);
+            }
+            *d = 1;
+          }(chans[n].get(), n, machine.size(), count, bytes, h.done_flag(n)));
+    }
 
-  if (!h.drive()) {
-    return 1;
-  }
-  const double us = h.elapsed_us();
-  std::uint64_t retx = 0;
-  std::uint64_t corrupt = 0;
-  for (auto& ch : chans) {
-    retx += ch->stats().retransmitted.value();
-    corrupt += ch->stats().corrupt_rejected.value();
-  }
-  const auto audit = machine.network().audit();
-  std::printf(
-      "reliable ring: %zu nodes x %llu msgs x %llu B in %.1f us "
-      "(%.1f MB/s payload), %llu retransmits, %llu crc rejects, "
-      "%llu/%llu packets dropped\n",
-      machine.size(), static_cast<unsigned long long>(count),
-      static_cast<unsigned long long>(bytes), us,
-      static_cast<double>(machine.size() * count * bytes) / us,
-      static_cast<unsigned long long>(retx),
-      static_cast<unsigned long long>(corrupt),
-      static_cast<unsigned long long>(audit.dropped),
-      static_cast<unsigned long long>(audit.injected));
-  return 0;
+    if (!h.drive()) {
+      return 1;
+    }
+    const double us = h.elapsed_us();
+    std::uint64_t retx = 0;
+    std::uint64_t corrupt = 0;
+    for (auto& ch : chans) {
+      retx += ch->stats().retransmitted.value();
+      corrupt += ch->stats().corrupt_rejected.value();
+    }
+    const auto audit = machine.network().audit();
+    std::printf(
+        "reliable ring: %zu nodes x %llu msgs x %llu B in %.1f us "
+        "(%.1f MB/s payload), %llu retransmits, %llu crc rejects, "
+        "%llu/%llu packets dropped\n",
+        machine.size(), static_cast<unsigned long long>(count),
+        static_cast<unsigned long long>(bytes), us,
+        static_cast<double>(machine.size() * count * bytes) / us,
+        static_cast<unsigned long long>(retx),
+        static_cast<unsigned long long>(corrupt),
+        static_cast<unsigned long long>(audit.dropped),
+        static_cast<unsigned long long>(audit.injected));
+    return 0;
+  };
 }
 
-int run_shm(Harness& h, const sim::Config& cfg, bool scoma) {
-  sys::Machine& machine = h.machine();
+Workload shm_workload(const sim::Config& cfg, bool scoma) {
   const auto ops = cfg.get_u64("ops", 200);
   const auto words = cfg.get_u64("words", 16);
   const auto seed = cfg.get_u64("seed", 42);
+  return [=](Harness& h) {
+    sys::Machine& machine = h.machine();
 
-  // One driver per node, each with its own seed-derived access stream over
-  // the same shared words: the contention is cross-node (that is what the
-  // coherence protocols exist for) while every coroutine stays inside the
-  // domain that owns its processor, so the workload is valid — and
-  // bit-identical — at every threads= value. `ops` counts per node.
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    machine.node(n).ap().run(
-        [](sys::Node* node, std::uint64_t ops_, std::uint64_t words_,
-           std::uint64_t seed_, bool scoma_,
-           std::uint8_t* d) -> sim::Co<void> {
-          sim::Rng rng(seed_);
-          shm::ScomaRegion sc(node->ap());
-          shm::NumaRegion nm(node->ap());
-          for (std::uint64_t i = 0; i < ops_; ++i) {
-            const mem::Addr off = 0x1000 + rng.below(words_) * 64;
-            if (scoma_) {
-              if (rng.chance(0.5)) {
-                co_await sc.store<std::uint32_t>(
-                    off, static_cast<std::uint32_t>(i));
+    // One driver per node, each with its own seed-derived access stream over
+    // the same shared words: the contention is cross-node (that is what the
+    // coherence protocols exist for) while every coroutine stays inside the
+    // domain that owns its processor, so the workload is valid — and
+    // bit-identical — at every threads= value. `ops` counts per node.
+    for (sim::NodeId n = 0; n < machine.size(); ++n) {
+      machine.node(n).ap().run(
+          [](sys::Node* node, std::uint64_t ops_, std::uint64_t words_,
+             std::uint64_t seed_, bool scoma_,
+             std::uint8_t* d) -> sim::Co<void> {
+            sim::Rng rng(seed_);
+            shm::ScomaRegion sc(node->ap());
+            shm::NumaRegion nm(node->ap());
+            for (std::uint64_t i = 0; i < ops_; ++i) {
+              const mem::Addr off = 0x1000 + rng.below(words_) * 64;
+              if (scoma_) {
+                if (rng.chance(0.5)) {
+                  co_await sc.store<std::uint32_t>(
+                      off, static_cast<std::uint32_t>(i));
+                } else {
+                  (void)co_await sc.load<std::uint32_t>(off);
+                }
               } else {
-                (void)co_await sc.load<std::uint32_t>(off);
-              }
-            } else {
-              if (rng.chance(0.5)) {
-                co_await nm.store<std::uint32_t>(
-                    off, static_cast<std::uint32_t>(i));
-              } else {
-                (void)co_await nm.load<std::uint32_t>(off);
+                if (rng.chance(0.5)) {
+                  co_await nm.store<std::uint32_t>(
+                      off, static_cast<std::uint32_t>(i));
+                } else {
+                  (void)co_await nm.load<std::uint32_t>(off);
+                }
               }
             }
-          }
-          *d = 1;
-        }(&machine.node(n), ops, words,
-          seed ^ (0x9e3779b97f4a7c15ull * (n + 1)), scoma, h.done_flag(n)));
-  }
-  if (!h.drive()) {
-    return 1;
-  }
-  std::printf("%s: %llu ops/node over %llu shared words in %.1f us\n",
-              scoma ? "scoma" : "numa",
-              static_cast<unsigned long long>(ops),
-              static_cast<unsigned long long>(words), h.elapsed_us());
-  return 0;
+            *d = 1;
+          }(&machine.node(n), ops, words,
+            seed ^ (0x9e3779b97f4a7c15ull * (n + 1)), scoma, h.done_flag(n)));
+    }
+    if (!h.drive()) {
+      return 1;
+    }
+    std::printf("%s: %llu ops/node over %llu shared words in %.1f us\n",
+                scoma ? "scoma" : "numa",
+                static_cast<unsigned long long>(ops),
+                static_cast<unsigned long long>(words), h.elapsed_us());
+    return 0;
+  };
 }
 
 /// app.* workloads: run one of the shipped applications (src/app/apps.hpp)
 /// through the SMPI-style runtime over the configured transport.
-int run_app(Harness& h, const sim::Config& cfg, const std::string& name) {
-  sys::Machine& machine = h.machine();
-
+Workload app_workload(const sim::Config& cfg, const std::string& name) {
   app::World::Params wp;
   wp.nranks = cfg.get_u64("ranks", 0);
   const std::string transport = cfg.get_string("transport", "msg");
@@ -525,30 +571,29 @@ int run_app(Harness& h, const sim::Config& cfg, const std::string& name) {
   } else if (transport == "reliable") {
     wp.transport = app::TransportKind::kReliable;
   } else {
-    std::fprintf(stderr, "svsim: unknown transport '%s'\n",
-                 transport.c_str());
-    return 2;
+    throw std::runtime_error("unknown transport '" + transport + "'");
   }
   wp.shm_region = cfg.get_string("app.shm", "numa") == "scoma"
                       ? app::ShmTransport::Region::kScoma
                       : app::ShmTransport::Region::kNuma;
   wp.reliable = reliable_params(cfg);
 
-  app::AppResult result;
-  app::World::Program program;
+  std::function<app::World::Program(app::AppResult*)> make_program;
   if (name == "app.stencil") {
     app::StencilParams p;
     p.nx = cfg.get_u64("nx", p.nx);
     p.ny = cfg.get_u64("ny", p.ny);
     p.iters = cfg.get_u64("iters", p.iters);
     p.point_cycles = cfg.get_u64("point_cycles", p.point_cycles);
-    program = app::make_stencil(p, &result);
+    make_program = [p](app::AppResult* r) { return app::make_stencil(p, r); };
   } else if (name == "app.allreduce") {
     app::AllreduceParams p;
     p.min_elems = cfg.get_u64("min_elems", p.min_elems);
     p.max_elems = cfg.get_u64("max_elems", p.max_elems);
     p.iters = cfg.get_u64("iters", p.iters);
-    program = app::make_allreduce_sweep(p, &result);
+    make_program = [p](app::AppResult* r) {
+      return app::make_allreduce_sweep(p, r);
+    };
   } else if (name == "app.kv") {
     app::KvParams p;
     p.servers = cfg.get_u64("servers", p.servers);
@@ -557,33 +602,64 @@ int run_app(Harness& h, const sim::Config& cfg, const std::string& name) {
     p.value_bytes = cfg.get_u64("value_bytes", p.value_bytes);
     p.seed = cfg.get_u64("seed", p.seed);
     p.op_cycles = cfg.get_u64("op_cycles", p.op_cycles);
-    program = app::make_kv(p, &result);
+    make_program = [p](app::AppResult* r) { return app::make_kv(p, r); };
   } else {
-    std::fprintf(stderr, "svsim: unknown app workload '%s'\n", name.c_str());
-    return 2;
+    throw std::runtime_error("unknown app workload '" + name + "'");
   }
 
-  app::World world(machine, wp);
-  world.launch(program);
-  h.set_world(&world);
-  if (!h.drive([&] { return world.done(); })) {
-    return 1;
+  return [=](Harness& h) {
+    sys::Machine& machine = h.machine();
+    app::AppResult result;
+    app::World world(machine, wp);
+    world.launch(make_program(&result));
+    h.set_world(&world);
+    if (!h.drive([&] { return world.done(); })) {
+      return 1;
+    }
+    std::printf("%s over %s: %zu ranks on %zu nodes, %llu ops, "
+                "checksum %.10g, %llu errors in %.1f us\n",
+                name.c_str(), world.transport(0).kind(), world.nranks(),
+                machine.size(), static_cast<unsigned long long>(result.ops),
+                result.checksum,
+                static_cast<unsigned long long>(result.errors),
+                h.elapsed_us());
+    // Dump here (not from main) so the World's app.* counters are included.
+    h.dump_stats([&](sim::StatRegistry& reg) { world.add_stats(reg); });
+    return result.errors == 0 ? 0 : 1;
+  };
+}
+
+/// Read every key the named workload uses and return its body. Throws for
+/// an unknown workload or a rejected value.
+Workload make_workload(const std::string& name, const sim::Config& cfg) {
+  if (name == "msg" || name == "express") {
+    return msg_workload(cfg, name == "express");
   }
-  std::printf("%s over %s: %zu ranks on %zu nodes, %llu ops, "
-              "checksum %.10g, %llu errors in %.1f us\n",
-              name.c_str(), world.transport(0).kind(), world.nranks(),
-              machine.size(), static_cast<unsigned long long>(result.ops),
-              result.checksum,
-              static_cast<unsigned long long>(result.errors),
-              h.elapsed_us());
-  // Dump here (not from main) so the World's app.* counters are included.
-  h.dump_stats([&](sim::StatRegistry& reg) { world.add_stats(reg); });
-  return result.errors == 0 ? 0 : 1;
+  if (name == "xfer") {
+    return xfer_workload(cfg);
+  }
+  if (name == "dma") {
+    return dma_workload(cfg);
+  }
+  if (name == "scoma" || name == "numa") {
+    return shm_workload(cfg, name == "scoma");
+  }
+  if (name == "reliable") {
+    return reliable_workload(cfg);
+  }
+  if (name.rfind("app.", 0) == 0) {
+    return app_workload(cfg, name);
+  }
+  throw std::runtime_error("unknown workload '" + name + "'");
 }
 
 }  // namespace
 
 namespace {
+
+/// Prefix of the snapshot config line that records the fast-path mode.
+/// It is not a workload key: svsim strips it before parsing the rest.
+constexpr const char* kModeKey = "fastpath=";
 
 /// Translate the --checkpoint-*/--restore spellings into their ckpt.*
 /// config keys; returns the restore path ("" = none).
@@ -626,6 +702,7 @@ int main(int argc, char** argv) {
 
   sim::Config cfg;
   ckpt::Snapshot restored;
+  std::string snapshot_mode;  // the snapshot's fastpath= value, if any
   try {
     if (!restore_path.empty()) {
       // The snapshot is the configuration: workload and every key come
@@ -644,18 +721,15 @@ int main(int argc, char** argv) {
         const std::size_t nl = restored.config.find('\n', pos);
         const std::size_t end =
             nl == std::string::npos ? restored.config.size() : nl;
-        if (end > pos) {
-          lines.push_back(restored.config.substr(pos, end - pos));
-        }
-        pos = end + 1;
-      }
-      for (auto& line : lines) {
+        const std::string line = restored.config.substr(pos, end - pos);
         if (line.rfind("workload=", 0) == 0) {
           workload = line.substr(std::strlen("workload="));
-          line = lines.back();
-          lines.pop_back();
-          break;
+        } else if (line.rfind(kModeKey, 0) == 0) {
+          snapshot_mode = line.substr(std::strlen(kModeKey));
+        } else if (!line.empty()) {
+          lines.push_back(line);
         }
+        pos = end + 1;
       }
       cfg = sim::Config::from_args(lines);
       if (workload.empty()) {
@@ -671,8 +745,24 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "svsim: %s\n", e.what());
     return 2;
   }
+  // Pending bus-bypass completions are keyed differently in each mode, so
+  // a snapshot replays only in the mode that captured it. Older snapshots
+  // carry no mode line and replay as they always did.
+  const std::string mode = sim::fastpath_default() ? "on" : "off";
+  if (!snapshot_mode.empty() && snapshot_mode != mode) {
+    std::fprintf(stderr,
+                 "svsim: snapshot was captured with fastpath=%s but this "
+                 "run has fastpath=%s (set SV_NO_FASTPATH to match)\n",
+                 snapshot_mode.c_str(), mode.c_str());
+    return 2;
+  }
 
   std::unique_ptr<sys::Machine> machine_ptr;
+  Workload body;
+  DriverOptions opts;
+  std::string trace_file;
+  std::string trace_stream;
+  std::uint64_t trace_buf = 0;
   try {
     const sys::Machine::Params params = machine_params(cfg);
     // Checked before construction, so the error path builds nothing.
@@ -684,12 +774,24 @@ int main(int argc, char** argv) {
     const std::uint64_t max_bytes =
         workload == "msg"        ? niu::kBasicMaxData
         : workload == "reliable" ? msg::ReliableChannel::kMaxPayload
-                                 : ~std::uint64_t{0};
-    if (cfg.get_u64("bytes", 0) > max_bytes) {
+                                 : 0;
+    if (max_bytes != 0 && cfg.get_u64("bytes", 0) > max_bytes) {
       throw std::runtime_error(workload + " carries at most " +
                                std::to_string(max_bytes) +
                                " payload bytes per message; got bytes=" +
                                cfg.get_string("bytes", ""));
+    }
+    body = make_workload(workload, cfg);
+    opts = DriverOptions::from_config(cfg);
+    trace_file = cfg.get_string("trace", "");
+    trace_stream = cfg.get_string("trace_stream", "");
+    trace_buf = cfg.get_u64("trace_buf", trace::Tracer::kDefaultCapacity);
+    // Every key svsim understands has now been read. A snapshot's keys
+    // were all read when it was captured, so only the command line is
+    // checked.
+    if (const auto unread = cfg.unread_keys();
+        restore_path.empty() && !unread.empty()) {
+      throw std::runtime_error("unknown key '" + unread.front() + "'");
     }
     machine_ptr = std::make_unique<sys::Machine>(params);
   } catch (const std::exception& e) {
@@ -698,11 +800,8 @@ int main(int argc, char** argv) {
   }
   sys::Machine& machine = *machine_ptr;
 
-  const std::string trace_file = cfg.get_string("trace", "");
-  const std::string trace_stream = cfg.get_string("trace_stream", "");
   if (!trace_file.empty() || !trace_stream.empty()) {
-    machine.enable_tracing(
-        cfg.get_u64("trace_buf", trace::Tracer::kDefaultCapacity));
+    machine.enable_tracing(trace_buf);
   }
   std::ofstream stream_os;
   std::unique_ptr<trace::ChromeStreamSink> stream_sink;
@@ -722,33 +821,17 @@ int main(int argc, char** argv) {
     machine.tracer()->set_sink(stream_sink.get());
   }
 
-  Harness harness(machine, cfg);
+  Harness harness(machine, cfg, opts);
   harness.set_workload(workload);
   if (!restore_path.empty()) {
     harness.set_restore(&restored);
   }
-  int rc = 2;
-  if (workload == "msg") {
-    rc = run_msg(harness, cfg, false);
-  } else if (workload == "express") {
-    rc = run_msg(harness, cfg, true);
-  } else if (workload == "xfer") {
-    rc = run_xfer(machine, cfg);
-  } else if (workload == "dma") {
-    rc = run_dma(harness, cfg);
-  } else if (workload == "scoma") {
-    rc = run_shm(harness, cfg, true);
-  } else if (workload == "numa") {
-    rc = run_shm(harness, cfg, false);
-  } else if (workload == "reliable") {
-    rc = run_reliable(harness, cfg);
-  } else if (workload.rfind("app.", 0) == 0) {
-    rc = run_app(harness, cfg, workload);
-  } else {
-    std::fprintf(stderr, "svsim: unknown workload '%s'\n",
-                 workload.c_str());
-    return 2;
+  // A replay re-captures exactly the snapshot's config text, so it keeps
+  // the snapshot's mode line, or its lack of one.
+  if (restore_path.empty() || !snapshot_mode.empty()) {
+    harness.set_mode_line(kModeKey + mode + "\n");
   }
+  const int rc = body(harness);
 
   if (stream_sink) {
     stream_sink->finish(machine.now());
