@@ -5,8 +5,8 @@
 #include <memory>
 #include <utility>
 
+#include "app/workloads.hpp"
 #include "ckpt/capture.hpp"
-#include "msg/reliable.hpp"
 #include "sim/config.hpp"
 #include "sys/experiment.hpp"
 #include "sys/machine.hpp"
@@ -17,88 +17,37 @@ namespace {
 
 constexpr char kScenarioTag[] = "reliable_ring";
 
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) {
-      nl = text.size();
-    }
-    if (nl > pos) {
-      lines.push_back(text.substr(pos, nl - pos));
-    }
-    pos = nl + 1;
-  }
-  return lines;
-}
-
 sim::Config parse_config(const std::string& text) {
   try {
-    return sim::Config::from_args(split_lines(text));
+    return sim::Config::from_text(text);
   } catch (const std::exception& e) {
     throw Error(std::string("bad scenario config: ") + e.what());
   }
 }
 
-/// The deterministic payload node `src` sends as its i-th message.
-std::vector<std::byte> ring_payload(sim::NodeId src, std::uint64_t i,
-                                    std::uint64_t bytes) {
-  std::vector<std::byte> p(bytes);
-  for (std::size_t b = 0; b < p.size(); ++b) {
-    p[b] = static_cast<std::byte>(src + i + b);
-  }
-  return p;
-}
-
-/// One ring machine plus its channels and completion/verdict flags.
+/// One ring machine: the shared reliable ring (app/workloads.hpp) on a
+/// scripted-fault machine, plus which nodes' channels gave up.
 struct RingRun {
   sys::Machine machine;
-  std::vector<std::unique_ptr<msg::Endpoint>> eps;
-  std::vector<std::unique_ptr<msg::ReliableChannel>> chans;
-  std::vector<std::uint8_t> done;
   std::vector<std::uint8_t> gave_up;
-  std::string mismatch;  // first content violation seen, machine-wide
+  std::unique_ptr<app::WorkloadRun> run;
 
   RingRun(const RingSpec& spec, std::vector<std::uint64_t> script)
       : machine(machine_params(spec, std::move(script))),
-        done(spec.nodes, 0),
         gave_up(spec.nodes, 0) {
-    const auto map = machine.addr_map();
-    msg::ReliableChannel::Params cp;
-    cp.window = spec.window;
-    cp.retransmit.base_timeout = spec.timeout_us * sim::kMicrosecond;
-    cp.retransmit.give_up_after = static_cast<unsigned>(spec.give_up);
-    for (sim::NodeId n = 0; n < machine.size(); ++n) {
-      eps.push_back(std::make_unique<msg::Endpoint>(
-          machine.node(n).ap(), machine.node(n).endpoint_config()));
-      chans.push_back(
-          std::make_unique<msg::ReliableChannel>(*eps[n], map, n, cp));
-      chans[n]->set_give_up(
-          [this, n](sim::NodeId) { gave_up[n] = 1; });
-      chans[n]->start();
-    }
-    for (sim::NodeId n = 0; n < machine.size(); ++n) {
-      machine.node(n).ap().run(node_program(n, spec));
-    }
-  }
-
-  [[nodiscard]] bool all_done() const {
-    for (const auto f : done) {
-      if (f == 0) {
-        return false;
-      }
-    }
-    return true;
+    app::RingWorkload w;
+    w.count = spec.count;
+    w.bytes = spec.bytes;
+    w.channel.window = spec.window;
+    w.channel.retransmit.base_timeout = spec.timeout_us * sim::kMicrosecond;
+    w.channel.retransmit.give_up_after = static_cast<unsigned>(spec.give_up);
+    run = w.start(machine,
+                  [this](sim::NodeId self, sim::NodeId) { gave_up[self] = 1; });
   }
 
   [[nodiscard]] bool any_gave_up() const {
-    for (const auto f : gave_up) {
-      if (f != 0) {
-        return true;
-      }
-    }
-    return false;
+    return std::any_of(gave_up.begin(), gave_up.end(),
+                       [](std::uint8_t f) { return f != 0; });
   }
 
  private:
@@ -114,34 +63,6 @@ struct RingRun {
     std::sort(script.begin(), script.end());
     mp.fault.drop_script = std::move(script);
     return mp;
-  }
-
-  // `spec` by value: the coroutine frame outlives the constructor call
-  // that spawns it.
-  sim::Co<void> node_program(sim::NodeId self, RingSpec spec) {
-    const auto nodes = machine.size();
-    const auto right = static_cast<sim::NodeId>((self + 1) % nodes);
-    const auto left =
-        static_cast<sim::NodeId>((self + nodes - 1) % nodes);
-    msg::ReliableChannel& ch = *chans[self];
-    for (std::uint64_t i = 0; i < spec.count; ++i) {
-      co_await ch.send(right, ring_payload(self, i, spec.bytes));
-    }
-    for (std::uint64_t i = 0; i < spec.count; ++i) {
-      const std::vector<std::byte> got = co_await ch.recv(left);
-      const std::vector<std::byte> want =
-          ring_payload(left, i, spec.bytes);
-      if (got != want && mismatch.empty()) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "node %u message %llu from node %u: payload "
-                      "mismatch (%zu bytes)",
-                      self, static_cast<unsigned long long>(i), left,
-                      got.size());
-        mismatch = buf;
-      }
-    }
-    done[self] = 1;
   }
 };
 
@@ -170,14 +91,21 @@ RingSpec RingSpec::from_config(const std::string& text) {
     throw Error("snapshot is not a reliable_ring scenario (scenario=" +
                 cfg.get_string("scenario", "<missing>") + ")");
   }
+  return from_keys(cfg);
+}
+
+RingSpec RingSpec::from_keys(const sim::Config& cfg) {
   RingSpec spec;
-  spec.nodes = cfg.get_u64("nodes", spec.nodes);
-  spec.count = cfg.get_u64("count", spec.count);
-  spec.bytes = cfg.get_u64("bytes", spec.bytes);
-  spec.window = cfg.get_u64("window", spec.window);
-  spec.timeout_us = cfg.get_u64("timeout_us", spec.timeout_us);
-  spec.give_up = cfg.get_u64("give_up", spec.give_up);
-  spec.deadline_ms = cfg.get_u64("deadline_ms", spec.deadline_ms);
+  spec.nodes = cfg.get_u64_in("nodes", spec.nodes, 2, 1024);
+  spec.count = cfg.get_u64_in("count", spec.count, 1, 1'000'000);
+  spec.bytes = cfg.get_u64_in("bytes", spec.bytes, 0,
+                              msg::ReliableChannel::kMaxPayload);
+  spec.window = cfg.get_u64_in("window", spec.window, 1, 1024);
+  spec.timeout_us = cfg.get_u64_in("timeout_us", spec.timeout_us, 1,
+                                   1'000'000);
+  spec.give_up = cfg.get_u64_in("give_up", spec.give_up, 0, 1000);
+  spec.deadline_ms = cfg.get_u64_in("deadline_ms", spec.deadline_ms, 1,
+                                    3'600'000);
   spec.fault_seed = cfg.get_u64("fault_seed", spec.fault_seed);
   return spec;
 }
@@ -208,15 +136,15 @@ ScenarioResult run_reliable_ring(const RingSpec& spec,
   }
 
   const bool completed = sys::run_until(
-      run.machine, [&] { return run.all_done(); }, deadline);
+      run.machine, [&] { return run.run->finished(); }, deadline);
 
   ScenarioResult r;
   r.opportunities =
       run.machine.fault_injector()->drop_opportunities() - base;
   r.state_hash = capture(run.machine, "").state_hash();
-  if (!run.mismatch.empty()) {
+  if (std::string bad = run.run->violation(); !bad.empty()) {
     r.violation = true;
-    r.detail = run.mismatch;
+    r.detail = std::move(bad);
   } else if (!completed && !run.any_gave_up()) {
     r.violation = true;
     r.detail = "stuck: ring never completed and no channel gave up";

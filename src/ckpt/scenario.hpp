@@ -32,6 +32,7 @@
 
 #include "ckpt/explore.hpp"
 #include "ckpt/snapshot.hpp"
+#include "sim/config.hpp"
 #include "sim/types.hpp"
 
 namespace sv::ckpt {
@@ -51,6 +52,9 @@ struct RingSpec {
   /// Inverse of to_config(); throws ckpt::Error on malformed text or a
   /// non-ring scenario tag.
   static RingSpec from_config(const std::string& text);
+  /// The spec keys of `cfg` (nodes count bytes window timeout_us give_up
+  /// deadline_ms fault_seed), defaults for the rest.
+  static RingSpec from_keys(const sim::Config& cfg);
 };
 
 /// Run the ring once with the given relative drop pattern. With `resume`,

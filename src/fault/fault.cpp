@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "ckpt/stats_io.hpp"
 #include "sim/config.hpp"
@@ -9,22 +10,36 @@
 
 namespace sv::fault {
 
+namespace {
+
+/// A probability key: a value outside [0, 1] throws.
+double rate(const sim::Config& cfg, const std::string& key, double def) {
+  const double r = cfg.get_double(key, def);
+  if (!(r >= 0.0 && r <= 1.0)) {
+    throw std::invalid_argument("bad value '" + cfg.get_string(key) +
+                                "' for " + key + " (expected 0..1)");
+  }
+  return r;
+}
+
+}  // namespace
+
 Plan Plan::from_config(const sim::Config& cfg) {
   Plan p;
   p.seed = cfg.get_u64("fault.seed", p.seed);
-  p.drop_rate = cfg.get_double("fault.drop_rate", p.drop_rate);
-  p.corrupt_rate = cfg.get_double("fault.corrupt_rate", p.corrupt_rate);
-  p.link_down_rate = cfg.get_double("fault.link_down_rate", p.link_down_rate);
+  p.drop_rate = rate(cfg, "fault.drop_rate", p.drop_rate);
+  p.corrupt_rate = rate(cfg, "fault.corrupt_rate", p.corrupt_rate);
+  p.link_down_rate = rate(cfg, "fault.link_down_rate", p.link_down_rate);
   p.link_down_ticks = cfg.get_u64("fault.link_down_ticks", p.link_down_ticks);
   p.router_stall_rate =
-      cfg.get_double("fault.router_stall_rate", p.router_stall_rate);
+      rate(cfg, "fault.router_stall_rate", p.router_stall_rate);
   p.router_stall_cycles = static_cast<std::uint32_t>(
       cfg.get_u64("fault.router_stall_cycles", p.router_stall_cycles));
-  p.starve_rate = cfg.get_double("fault.starve_rate", p.starve_rate);
+  p.starve_rate = rate(cfg, "fault.starve_rate", p.starve_rate);
   p.starve_cycles = static_cast<std::uint32_t>(
       cfg.get_u64("fault.starve_cycles", p.starve_cycles));
   p.rx_overflow_rate =
-      cfg.get_double("fault.rx_overflow_rate", p.rx_overflow_rate);
+      rate(cfg, "fault.rx_overflow_rate", p.rx_overflow_rate);
   // fault.drop_script=3,17,42 switches to scripted mode (the explorer's
   // reproduction path): those global drop opportunities and only those.
   if (const std::string script = cfg.get_string("fault.drop_script");

@@ -50,8 +50,7 @@ Ctrl::Ctrl(sim::Kernel& kernel, std::string name, sim::NodeId node,
       tx_work_(kernel),
       rx_arrival_(kernel),
       queue_space_(kernel),
-      sp_intr_(kernel),
-      log_(kernel, this->name()) {
+      sp_intr_(kernel) {
   for (auto& c : local_cmds_) {
     c = std::make_unique<sim::Channel<Command>>(kernel);
   }
@@ -96,6 +95,13 @@ void Ctrl::trace_rx_depth(unsigned q) {
                            "rxq" + std::to_string(q), "queue",
                            /*counter=*/true),
                 now(), rxq_[q].occupancy());
+  }
+}
+
+void Ctrl::trace_warning(std::string what) {
+  if (trace::Tracer* tr = tracing()) {
+    tr->instant(trace_lane(cmd_track_, "NIU.CTRL", "niu"), std::move(what),
+                now());
   }
 }
 
@@ -247,7 +253,8 @@ sim::Co<std::optional<XlatEntry>> Ctrl::translate(std::uint16_t and_mask,
 void Ctrl::shutdown_tx_queue(unsigned q) {
   txq_.at(q).shutdown = true;
   stats_.protection_violations.inc();
-  log_.warn("tx queue ", q, " shut down (protection violation)");
+  trace_warning("tx queue " + std::to_string(q) +
+                " shut down (protection violation)");
   raise_interrupt(kIntrProtection);
 }
 
@@ -481,8 +488,8 @@ sim::Co<void> Ctrl::rx_deliver(net::Packet pkt) {
     } catch (const std::invalid_argument&) {
       // Malformed remote command: drop it, like hardware would, and count.
       stats_.rx_dropped.inc();
-      log_.warn("dropped malformed remote command packet from node ",
-                pkt.src);
+      trace_warning("dropped malformed remote command packet from node " +
+                    std::to_string(pkt.src));
     }
     rx_span("rx cmd");
     co_return;
@@ -713,7 +720,8 @@ sim::Co<void> Ctrl::execute(Command cmd) {
       if (cmd.translate) {
         const auto xe = co_await translate(0xFFFF, 0, cmd.vdest);
         if (!xe) {
-          log_.warn("kSendMessage translation failed, vdest=", cmd.vdest);
+          trace_warning("kSendMessage translation failed, vdest=" +
+                        std::to_string(cmd.vdest));
           break;
         }
         pkt.dest = xe->phys_node;

@@ -29,7 +29,6 @@
 #include "niu/regs.hpp"
 #include "sim/coro.hpp"
 #include "sim/kernel.hpp"
-#include "sim/logger.hpp"
 #include "sim/stats.hpp"
 #include "trace/trace.hpp"
 
@@ -239,6 +238,9 @@ class Ctrl : public sim::SimObject {
   void trace_rx_depth(unsigned q);
   /// Close residency spans for `count` consumed slots of rx queue q.
   void trace_rx_consumed(unsigned q, unsigned count);
+  /// Mark an anomaly (a shut-down queue, a dropped or untranslatable
+  /// command) as an instant on the NIU.CTRL lane.
+  void trace_warning(std::string what);
 
   sim::NodeId node_;
   Params params_;
@@ -272,7 +274,6 @@ class Ctrl : public sim::SimObject {
   std::uint64_t intr_enable_ = ~std::uint64_t{0};
 
   CtrlStats stats_;
-  sim::Logger log_;
   bool started_ = false;
 
   // Trace lanes (lazily registered; kNoTrack until first use).

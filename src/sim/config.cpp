@@ -1,5 +1,6 @@
 #include "sim/config.hpp"
 
+#include <sstream>
 #include <stdexcept>
 
 namespace sv::sim {
@@ -16,16 +17,19 @@ Config Config::from_args(const std::vector<std::string>& args) {
   return cfg;
 }
 
+Config Config::from_text(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) {
+      lines.push_back(line);
+    }
+  }
+  return from_args(lines);
+}
+
 void Config::set_u64(const std::string& key, std::uint64_t value) {
   values_[key] = std::to_string(value);
-}
-
-void Config::set_double(const std::string& key, double value) {
-  values_[key] = std::to_string(value);
-}
-
-void Config::set_bool(const std::string& key, bool value) {
-  values_[key] = value ? "true" : "false";
 }
 
 const std::string* Config::find(const std::string& key) const {
@@ -40,15 +44,73 @@ std::string Config::get_string(const std::string& key,
   return v != nullptr ? *v : def;
 }
 
+namespace {
+
+[[noreturn]] void bad_value(const std::string& key, const std::string& v,
+                            const std::string& want) {
+  throw std::invalid_argument("bad value '" + v + "' for " + key +
+                              " (expected " + want + ")");
+}
+
+/// Parse all of `v` with `parse`, or throw naming `key` and `want`.
+template <typename Parse>
+auto parse_whole(const std::string& key, const std::string& v, Parse parse,
+                 const std::string& want) {
+  try {
+    std::size_t used = 0;
+    const auto x = parse(v, &used);
+    if (used == v.size()) {
+      return x;
+    }
+  } catch (const std::exception&) {
+  }
+  bad_value(key, v, want);
+}
+
+}  // namespace
+
 std::uint64_t Config::get_u64(const std::string& key,
                               std::uint64_t def) const {
   const std::string* v = find(key);
-  return v != nullptr ? std::stoull(*v, nullptr, 0) : def;
+  // stoull alone would wrap "-1" and stop silently at "5x".
+  const auto parse = [](const std::string& s, std::size_t* used) {
+    return s.rfind('-', 0) == 0 ? *used = 0 : std::stoull(s, used, 0);
+  };
+  return v != nullptr ? parse_whole(key, *v, parse, "an unsigned integer")
+                      : def;
+}
+
+std::uint64_t Config::get_u64_in(const std::string& key, std::uint64_t def,
+                                 std::uint64_t lo, std::uint64_t hi) const {
+  const std::uint64_t x = get_u64(key, def);
+  if (x < lo || x > hi) {
+    bad_value(key, std::to_string(x),
+              std::to_string(lo) + ".." + std::to_string(hi));
+  }
+  return x;
 }
 
 double Config::get_double(const std::string& key, double def) const {
   const std::string* v = find(key);
-  return v != nullptr ? std::stod(*v) : def;
+  const auto parse = [](const std::string& s, std::size_t* used) {
+    return std::stod(s, used);
+  };
+  return v != nullptr ? parse_whole(key, *v, parse, "a number") : def;
+}
+
+std::size_t Config::get_choice(
+    const std::string& key, const std::string& def,
+    std::initializer_list<const char*> allowed) const {
+  const std::string v = get_string(key, def);
+  std::string all;
+  std::size_t i = 0;
+  for (const char* a : allowed) {
+    if (v == a) {
+      return i;
+    }
+    all += (i++ == 0 ? "" : "|") + std::string(a);
+  }
+  bad_value(key, v, all);
 }
 
 bool Config::get_bool(const std::string& key, bool def) const {
@@ -63,7 +125,7 @@ bool Config::get_bool(const std::string& key, bool def) const {
   if (v == "false" || v == "0" || v == "no" || v == "off") {
     return false;
   }
-  throw std::invalid_argument("Config: bad bool for " + key + ": " + v);
+  bad_value(key, v, "true|false");
 }
 
 void Config::merge(const Config& other) {

@@ -6,13 +6,12 @@
 // programs have smuggled cross-domain state outside the mechanisms.
 #include <string>
 
-#include "tests/app_util.hpp"
+#include "tests/test_util.hpp"
 
 namespace sv {
 namespace {
 
 constexpr std::size_t kTraceCapacity = 1u << 19;
-const unsigned kThreadSweep[] = {1, 2, 4};
 const std::uint64_t kSeeds[] = {1, 0xfeedbeef};
 
 /// Derive a small per-seed parameter variation so both sweeps exercise
@@ -21,7 +20,7 @@ test::AppRunSpec make_spec(test::AppKind app, app::TransportKind tk,
                            std::uint64_t seed) {
   test::AppRunSpec spec;
   spec.app = app;
-  spec.transport = tk;
+  spec.world.transport = tk;
   spec.nodes = 4;
   spec.trace_capacity = kTraceCapacity;
   switch (app) {
@@ -43,36 +42,10 @@ test::AppRunSpec make_spec(test::AppKind app, app::TransportKind tk,
   return spec;
 }
 
-void expect_bit_identical_across_threads(test::AppRunSpec spec) {
-  spec.threads = 0;
-  const test::AppRunResult seq = test::run_app_and_dump_stats(spec);
-  ASSERT_TRUE(seq.completed);
-  ASSERT_EQ(seq.trace_dropped, 0u)
-      << "trace ring wrapped; grow kTraceCapacity so the comparison is "
-         "complete";
-  ASSERT_FALSE(seq.stats_json.empty());
-  ASSERT_FALSE(seq.span_dump.empty());
-  EXPECT_EQ(seq.app.errors, 0u);
-
-  for (const unsigned threads : kThreadSweep) {
-    spec.threads = threads;
-    const test::AppRunResult par = test::run_app_and_dump_stats(spec);
-    ASSERT_TRUE(par.completed) << "threads=" << threads;
-    EXPECT_EQ(par.trace_dropped, 0u) << "threads=" << threads;
-    EXPECT_EQ(par.end_time, seq.end_time) << "threads=" << threads;
-    EXPECT_EQ(par.app.checksum, seq.app.checksum) << "threads=" << threads;
-    EXPECT_EQ(par.app.ops, seq.app.ops) << "threads=" << threads;
-    EXPECT_EQ(par.stats_json, seq.stats_json)
-        << "stats diverged at threads=" << threads;
-    EXPECT_EQ(par.span_dump, seq.span_dump)
-        << "trace spans diverged at threads=" << threads;
-  }
-}
-
 void sweep(test::AppKind app, app::TransportKind tk) {
   for (const auto seed : kSeeds) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    expect_bit_identical_across_threads(make_spec(app, tk, seed));
+    test::expect_bit_identical_across_threads(make_spec(app, tk, seed));
   }
 }
 
@@ -111,8 +84,8 @@ TEST(AppEquivalence, KvOverReliable) {
 TEST(AppEquivalence, StencilOverScomaShm) {
   test::AppRunSpec spec = make_spec(test::AppKind::kStencil,
                                     app::TransportKind::kShm, 1);
-  spec.shm_region = app::ShmTransport::Region::kScoma;
-  expect_bit_identical_across_threads(spec);
+  spec.world.shm_region = app::ShmTransport::Region::kScoma;
+  test::expect_bit_identical_across_threads(spec);
 }
 
 // Untraced S-COMA run: tracing disables the bus bypass, so only an
@@ -122,22 +95,9 @@ TEST(AppEquivalence, StencilOverScomaShm) {
 TEST(AppEquivalence, ScomaFastpathParityUntraced) {
   test::AppRunSpec spec = make_spec(test::AppKind::kStencil,
                                     app::TransportKind::kShm, 1);
-  spec.shm_region = app::ShmTransport::Region::kScoma;
+  spec.world.shm_region = app::ShmTransport::Region::kScoma;
   spec.trace_capacity = 0;
-
-  spec.fastpath = true;
-  const test::AppRunResult fast = test::run_app_and_dump_stats(spec);
-  ASSERT_TRUE(fast.completed);
-  EXPECT_EQ(fast.app.errors, 0u);
-
-  spec.fastpath = false;
-  const test::AppRunResult slow = test::run_app_and_dump_stats(spec);
-  ASSERT_TRUE(slow.completed);
-  EXPECT_EQ(slow.end_time, fast.end_time);
-  EXPECT_EQ(slow.app.checksum, fast.app.checksum);
-  EXPECT_EQ(slow.app.ops, fast.app.ops);
-  EXPECT_EQ(slow.stats_json, fast.stats_json)
-      << "fastpath must be timing-invisible";
+  (void)test::expect_fastpath_invisible(spec);
 }
 
 // A run that stops with a dispatcher poll mid-access dumps hit counters
@@ -147,23 +107,11 @@ TEST(AppEquivalence, ScomaFastpathParityUntraced) {
 TEST(AppEquivalence, FastpathParityAtTerminationWindow) {
   test::AppRunSpec spec = make_spec(test::AppKind::kKv,
                                     app::TransportKind::kShm, 1);
-  spec.shm_region = app::ShmTransport::Region::kScoma;
+  spec.world.shm_region = app::ShmTransport::Region::kScoma;
   spec.trace_capacity = 0;
   spec.kv.requests = 64;
   spec.kv.seed = 1;
-
-  spec.fastpath = true;
-  const test::AppRunResult fast = test::run_app_and_dump_stats(spec);
-  ASSERT_TRUE(fast.completed);
-  EXPECT_EQ(fast.app.errors, 0u);
-
-  spec.fastpath = false;
-  const test::AppRunResult slow = test::run_app_and_dump_stats(spec);
-  ASSERT_TRUE(slow.completed);
-  EXPECT_EQ(slow.end_time, fast.end_time);
-  EXPECT_EQ(slow.app.checksum, fast.app.checksum);
-  EXPECT_EQ(slow.stats_json, fast.stats_json)
-      << "hit counters must be mode-invariant at any stopping point";
+  (void)test::expect_fastpath_invisible(spec);
 }
 
 // Ranks oversubscribe nodes: local short-circuit delivery and remote
@@ -172,8 +120,8 @@ TEST(AppEquivalence, TwoRanksPerNodeStillIdentical) {
   test::AppRunSpec spec = make_spec(test::AppKind::kAllreduce,
                                     app::TransportKind::kMsg, 1);
   spec.nodes = 2;
-  spec.nranks = 4;
-  expect_bit_identical_across_threads(spec);
+  spec.world.nranks = 4;
+  test::expect_bit_identical_across_threads(spec);
 }
 
 }  // namespace

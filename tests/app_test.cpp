@@ -3,7 +3,7 @@
 // host-computed references — each core case swept over all three
 // transports. These run sequentially (threads=0); cross-thread
 // byte-identity is app_equivalence_test's job.
-#include "app_util.hpp"
+#include "tests/test_util.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -438,8 +438,8 @@ TEST(AppPrograms, StencilRunsCleanOnEveryTransport) {
     SCOPED_TRACE(transport_name(tk));
     AppRunSpec spec;
     spec.app = AppKind::kStencil;
-    spec.transport = tk;
-    const auto res = run_app_and_dump_stats(spec);
+    spec.world.transport = tk;
+    const auto res = run_and_dump_stats(spec);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.app.errors, 0u);
     EXPECT_EQ(res.app.ops, 4u * 4u);  // iters summed over 4 ranks
@@ -452,8 +452,8 @@ TEST(AppPrograms, AllreduceSweepValidatesAgainstHost) {
     SCOPED_TRACE(transport_name(tk));
     AppRunSpec spec;
     spec.app = AppKind::kAllreduce;
-    spec.transport = tk;
-    const auto res = run_app_and_dump_stats(spec);
+    spec.world.transport = tk;
+    const auto res = run_and_dump_stats(spec);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.app.errors, 0u);
     EXPECT_GT(res.app.ops, 0u);
@@ -465,9 +465,9 @@ TEST(AppPrograms, KvServiceAnswersEveryRequest) {
     SCOPED_TRACE(transport_name(tk));
     AppRunSpec spec;
     spec.app = AppKind::kKv;
-    spec.transport = tk;
+    spec.world.transport = tk;
     spec.kv.requests = 24;
-    const auto res = run_app_and_dump_stats(spec);
+    const auto res = run_and_dump_stats(spec);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.app.errors, 0u);
     // Clients and servers both count each request: 3 clients x 24, twice.
@@ -492,7 +492,7 @@ fault::Plan lossy_plan(std::uint64_t seed) {
 void run_app_under_faults(AppKind app, std::uint64_t seed) {
   AppRunSpec spec;
   spec.app = app;
-  spec.transport = TransportKind::kReliable;
+  spec.world.transport = TransportKind::kReliable;
   spec.fault = lossy_plan(seed);
   spec.stencil.nx = 8;
   spec.stencil.ny = 8;
@@ -500,7 +500,7 @@ void run_app_under_faults(AppKind app, std::uint64_t seed) {
   spec.allreduce.max_elems = 16;
   spec.allreduce.iters = 1;
   spec.kv.requests = 8;
-  const auto res = run_app_and_dump_stats(spec);
+  const auto res = run_and_dump_stats(spec);
   EXPECT_TRUE(res.completed);
   EXPECT_EQ(res.app.errors, 0u);
   EXPECT_GT(res.app.ops, 0u);

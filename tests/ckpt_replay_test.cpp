@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "ckpt/scenario.hpp"
-#include "tests/ckpt_util.hpp"
+#include "tests/test_util.hpp"
 
 namespace sv {
 namespace {
@@ -221,20 +221,20 @@ TEST(CkptReplayTest, TraceSpansByteIdentical) {
 
 void expect_app_replay_identical(const test::AppRunSpec& spec,
                                  sim::Tick at) {
-  test::SteppableAppRun a(spec);
+  test::SteppableRun a(spec);
   const ckpt::Snapshot snap = a.capture_at(at);
   EXPECT_NE(snap.find("app"), nullptr) << "app chunk missing from capture";
 
-  test::SteppableAppRun b(spec);
+  test::SteppableRun b(spec);
   const ckpt::Snapshot replay = b.capture_at(snap.tick);
   expect_verify_ok(snap, replay);
 
   a.finish();
   b.finish();
-  EXPECT_EQ(a.app.errors, 0u);
-  EXPECT_EQ(b.app.errors, 0u);
-  expect_verify_ok(ckpt::capture(a.machine, "final", &a.world),
-                   ckpt::capture(b.machine, "final", &b.world));
+  EXPECT_EQ(a.run->app.errors, 0u);
+  EXPECT_EQ(b.run->app.errors, 0u);
+  expect_verify_ok(ckpt::capture(a.machine, "final", a.run->world.get()),
+                   ckpt::capture(b.machine, "final", b.run->world.get()));
   EXPECT_EQ(a.stats_json(), b.stats_json());
 }
 
@@ -243,7 +243,7 @@ TEST(CkptReplayTest, AppStencilMsgSweep) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     test::AppRunSpec spec;
     spec.app = test::AppKind::kStencil;
-    spec.transport = app::TransportKind::kMsg;
+    spec.world.transport = app::TransportKind::kMsg;
     spec.threads = threads;
     expect_app_replay_identical(spec, 10 * sim::kMicrosecond);
   }
@@ -252,7 +252,7 @@ TEST(CkptReplayTest, AppStencilMsgSweep) {
 TEST(CkptReplayTest, AppAllreduceShmReplay) {
   test::AppRunSpec spec;
   spec.app = test::AppKind::kAllreduce;
-  spec.transport = app::TransportKind::kShm;
+  spec.world.transport = app::TransportKind::kShm;
   spec.allreduce.max_elems = 32;
   expect_app_replay_identical(spec, 10 * sim::kMicrosecond);
 }
@@ -260,7 +260,7 @@ TEST(CkptReplayTest, AppAllreduceShmReplay) {
 TEST(CkptReplayTest, AppKvReliableReplay) {
   test::AppRunSpec spec;
   spec.app = test::AppKind::kKv;
-  spec.transport = app::TransportKind::kReliable;
+  spec.world.transport = app::TransportKind::kReliable;
   spec.kv.requests = 16;
   expect_app_replay_identical(spec, 10 * sim::kMicrosecond);
 }

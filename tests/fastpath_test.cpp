@@ -9,7 +9,7 @@
 #include <string>
 
 #include "sys/stats_dump.hpp"
-#include "tests/app_util.hpp"
+#include "tests/test_util.hpp"
 #include "xfer/approaches.hpp"
 
 namespace sv {
@@ -86,26 +86,15 @@ TEST(FastPath, Fig4Approach3ByteIdentical) {
   expect_engaged_and_identical(3, 65536);
 }
 
-/// Messaging and shared-memory workloads through the canonical harness:
-/// identical RunSpec, fastpath pinned each way, byte-identical results.
-void expect_runspec_identical(test::RunSpec spec) {
-  spec.fastpath = true;
-  const auto fast = test::run_machine_and_dump_stats(spec);
-  spec.fastpath = false;
-  const auto slow = test::run_machine_and_dump_stats(spec);
-  ASSERT_TRUE(fast.completed);
-  ASSERT_TRUE(slow.completed);
-  EXPECT_EQ(fast.end_time, slow.end_time);
-  EXPECT_EQ(fast.stats_json, slow.stats_json);
-}
-
+// Messaging and shared-memory workloads through the canonical harness:
+// identical RunSpec, fastpath pinned each way, byte-identical results.
 TEST(FastPath, MsgWorkloadByteIdentical) {
   test::RunSpec spec;
   spec.workload = test::Workload::kMsg;
   spec.nodes = 4;
   spec.count = 16;
   spec.bytes = 32;
-  expect_runspec_identical(spec);
+  (void)test::expect_fastpath_invisible(spec);
 }
 
 TEST(FastPath, ShmWorkloadByteIdentical) {
@@ -113,7 +102,7 @@ TEST(FastPath, ShmWorkloadByteIdentical) {
   spec.workload = test::Workload::kShm;
   spec.nodes = 4;
   spec.ops = 40;
-  expect_runspec_identical(spec);
+  (void)test::expect_fastpath_invisible(spec);
 }
 
 /// Fault injection does not switch the bypass off, and it stays
@@ -134,18 +123,11 @@ TEST(FastPath, ReliableUnderFaultsByteIdentical) {
     spec.fault.router_stall_rate = 0.05;
     spec.fault.rx_overflow_rate = 0.02;
 
-    spec.fastpath = true;
-    const auto fast = test::run_machine_and_dump_stats(spec);
-    spec.fastpath = false;
-    const auto slow = test::run_machine_and_dump_stats(spec);
-    ASSERT_TRUE(fast.completed);
-    ASSERT_TRUE(slow.completed);
+    const auto [fast, slow] = test::expect_fastpath_invisible(spec);
     EXPECT_GT(fast.fault_stats.drops.value(), 0u);
     EXPECT_GT(fast.fast_hits, 0u);
     EXPECT_EQ(slow.fast_hits, 0u);
     EXPECT_LT(fast.executed, slow.executed);
-    EXPECT_EQ(fast.end_time, slow.end_time);
-    EXPECT_EQ(fast.stats_json, slow.stats_json);
   }
 }
 
@@ -155,22 +137,13 @@ TEST(FastPath, ReliableUnderFaultsByteIdentical) {
 TEST(FastPath, KvMsg16NodesByteIdentical) {
   test::AppRunSpec spec;
   spec.app = test::AppKind::kKv;
-  spec.transport = app::TransportKind::kMsg;
+  spec.world.transport = app::TransportKind::kMsg;
   spec.nodes = 16;
   spec.kv.requests = 150;
 
-  spec.fastpath = true;
-  const test::AppRunResult fast = test::run_app_and_dump_stats(spec);
-  spec.fastpath = false;
-  const test::AppRunResult slow = test::run_app_and_dump_stats(spec);
-  ASSERT_TRUE(fast.completed);
-  ASSERT_TRUE(slow.completed);
-  EXPECT_EQ(fast.app.errors, 0u);
+  const auto [fast, slow] = test::expect_fastpath_invisible(spec);
   EXPECT_GT(fast.fast_hits, 0u);
   EXPECT_LT(fast.executed, slow.executed);
-  EXPECT_EQ(fast.end_time, slow.end_time);
-  EXPECT_EQ(fast.app.checksum, slow.app.checksum);
-  EXPECT_EQ(fast.stats_json, slow.stats_json);
 }
 
 /// The bypass composes with the partitioned kernel: a threaded fast run
@@ -185,10 +158,10 @@ TEST(FastPath, PartitionedFastMatchesSequentialSlow) {
 
   spec.fastpath = true;
   spec.threads = 2;
-  const auto fast_par = test::run_machine_and_dump_stats(spec);
+  const auto fast_par = test::run_and_dump_stats(spec);
   spec.fastpath = false;
   spec.threads = 0;
-  const auto slow_seq = test::run_machine_and_dump_stats(spec);
+  const auto slow_seq = test::run_and_dump_stats(spec);
   ASSERT_TRUE(fast_par.completed);
   ASSERT_TRUE(slow_seq.completed);
   EXPECT_EQ(fast_par.end_time, slow_seq.end_time);

@@ -21,7 +21,6 @@
 #include "fault/fault.hpp"
 #include "msg/reliable.hpp"
 #include "sys/stats_dump.hpp"
-#include "tests/ckpt_util.hpp"
 #include "tests/test_util.hpp"
 
 namespace sv {
@@ -60,8 +59,8 @@ std::string run_matrix(std::uint64_t seed) {
   spec.fault = full_matrix_plan(seed);
   spec.count = 25;
   spec.bytes = 48;
-  spec.retransmit_timeout = 20 * sim::kMicrosecond;
-  const test::RunResult res = test::run_machine_and_dump_stats(spec);
+  spec.channel.retransmit.base_timeout = 20 * sim::kMicrosecond;
+  const test::RunResult res = test::run_and_dump_stats(spec);
 
   // The matrix must actually have fired: a fault plan this aggressive that
   // injects nothing would make the replay check vacuous.
@@ -117,7 +116,7 @@ TEST(FaultMatrixTest, CheckpointPreservesInjectorCursorsBitIdentically) {
   spec.fault = full_matrix_plan(base_seed());
   spec.count = 25;
   spec.bytes = 48;
-  spec.retransmit_timeout = 20 * sim::kMicrosecond;
+  spec.channel.retransmit.base_timeout = 20 * sim::kMicrosecond;
 
   test::SteppableRun a(spec);
   const ckpt::Snapshot snap = a.capture_at(30 * sim::kMicrosecond);

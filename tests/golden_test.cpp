@@ -11,87 +11,31 @@
 // and commit the diff — reviewers see exactly which metrics moved.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
-#include "sim/crc32.hpp"
 #include "sys/stats_dump.hpp"
-#include "tests/app_util.hpp"
-#include "tests/ckpt_util.hpp"
 #include "tests/test_util.hpp"
-#include "xfer/approaches.hpp"
 
 namespace sv {
 namespace {
 
-std::string golden_path(const std::string& name) {
-  return std::string(SV_GOLDEN_DIR) + "/" + name + ".json";
-}
-
-std::uint32_t digest(const std::string& s) {
-  return sim::crc32(std::as_bytes(std::span(s.data(), s.size())));
-}
-
-/// Compare `actual` against the checked-in corpus entry, or rewrite the
-/// entry when SV_GOLDEN_WRITE is set. On mismatch, report the crc32 of
-/// both versions and the first diverging byte so drift is easy to locate
-/// in the (long) JSON strings.
+/// Compare `actual` with the corpus entry `name`, or rewrite the entry
+/// when SV_GOLDEN_WRITE is set.
 void check_golden(const std::string& name, const std::string& actual) {
-  ASSERT_FALSE(actual.empty()) << name;
-  const std::string path = golden_path(name);
-
-  if (std::getenv("SV_GOLDEN_WRITE") != nullptr) {
-    std::ofstream os(path);
-    ASSERT_TRUE(os) << "cannot write " << path;
-    os << actual;
-    ASSERT_TRUE(os.good()) << "write failed for " << path;
-    return;
-  }
-
-  std::ifstream is(path);
-  ASSERT_TRUE(is) << "missing golden file " << path
-                  << " — regenerate with SV_GOLDEN_WRITE=1 ./golden_test";
-  std::stringstream buf;
-  buf << is.rdbuf();
-  const std::string expected = buf.str();
-
-  if (actual == expected) {
-    return;
-  }
-  std::size_t diff = 0;
-  while (diff < actual.size() && diff < expected.size() &&
-         actual[diff] == expected[diff]) {
-    ++diff;
-  }
-  const auto context = [&](const std::string& s) {
-    const std::size_t from = diff < 40 ? 0 : diff - 40;
-    return s.substr(from, 80);
-  };
-  FAIL() << "stats drifted from golden corpus entry '" << name << "'\n"
-         << "  expected crc32=" << std::hex << digest(expected)
-         << " actual crc32=" << digest(actual) << std::dec
-         << "\n  first divergence at byte " << diff << ":\n  golden: ..."
-         << context(expected) << "...\n  actual: ..." << context(actual)
-         << "...\nIf the change is intentional, regenerate with "
-            "SV_GOLDEN_WRITE=1 ./golden_test and commit the diff.";
+  test::expect_golden(std::string(SV_GOLDEN_DIR) + "/" + name + ".json",
+                      actual, true,
+                      "If the change is intentional, regenerate with "
+                      "SV_GOLDEN_WRITE=1 ./golden_test and commit the diff.");
 }
 
 /// Figure 3/4 block transfers: run one approach at one size on a 2-node
-/// fat tree and dump the machine stats.
+/// fat tree (svsim's xfer workload) and dump the machine stats.
 std::string run_xfer(int approach, std::uint32_t bytes) {
   sys::Machine machine(test::small_machine_params(2));
-  xfer::BlockTransferHarness harness(machine);
-  xfer::TransferSpec spec;
-  spec.len = bytes;
-  if (approach >= 4) {
-    spec.dst = niu::kScomaBase + 0x8000;
-  }
-  xfer::RunOptions opt;
-  opt.consume = approach >= 4;
-  const auto res = harness.run(approach, spec, opt);
-  EXPECT_TRUE(res.ok) << "approach " << approach << " failed verification";
+  const app::XferWorkload w{approach, bytes, approach >= 4};
+  EXPECT_TRUE(w.run(machine).ok)
+      << "approach " << approach << " failed verification";
   std::ostringstream os;
   sys::dump_stats_json(machine, os);
   return os.str();
@@ -115,7 +59,7 @@ TEST(GoldenStats, ExtMsgAllToAll) {
   spec.nodes = 4;
   spec.count = 16;
   spec.bytes = 32;
-  const auto res = test::run_machine_and_dump_stats(spec);
+  const auto res = test::run_and_dump_stats(spec);
   ASSERT_TRUE(res.completed);
   check_golden("ext_msg_4node", res.stats_json);
 }
@@ -125,7 +69,7 @@ TEST(GoldenStats, ExtScomaContention) {
   spec.workload = test::Workload::kShm;
   spec.nodes = 4;
   spec.ops = 40;
-  const auto res = test::run_machine_and_dump_stats(spec);
+  const auto res = test::run_and_dump_stats(spec);
   ASSERT_TRUE(res.completed);
   check_golden("ext_scoma_4node", res.stats_json);
 }
@@ -139,7 +83,7 @@ TEST(GoldenStats, ExtReliableUnderLoss) {
   spec.fault.seed = sim::Rng::kDefaultSeed;
   spec.fault.drop_rate = 0.05;
   spec.fault.corrupt_rate = 0.05;
-  const auto res = test::run_machine_and_dump_stats(spec);
+  const auto res = test::run_and_dump_stats(spec);
   ASSERT_TRUE(res.completed);
   check_golden("ext_reliable_4node", res.stats_json);
 }
@@ -181,8 +125,8 @@ TEST(GoldenStats, ExtReliableRestored) {
 TEST(GoldenStats, ExtAppStencilMsg) {
   test::AppRunSpec spec;
   spec.app = test::AppKind::kStencil;
-  spec.transport = app::TransportKind::kMsg;
-  const auto res = test::run_app_and_dump_stats(spec);
+  spec.world.transport = app::TransportKind::kMsg;
+  const auto res = test::run_and_dump_stats(spec);
   ASSERT_TRUE(res.completed);
   ASSERT_EQ(res.app.errors, 0u);
   check_golden("ext_app_stencil_msg", res.stats_json);
@@ -191,9 +135,9 @@ TEST(GoldenStats, ExtAppStencilMsg) {
 TEST(GoldenStats, ExtAppAllreduceShm) {
   test::AppRunSpec spec;
   spec.app = test::AppKind::kAllreduce;
-  spec.transport = app::TransportKind::kShm;
+  spec.world.transport = app::TransportKind::kShm;
   spec.allreduce.max_elems = 32;
-  const auto res = test::run_app_and_dump_stats(spec);
+  const auto res = test::run_and_dump_stats(spec);
   ASSERT_TRUE(res.completed);
   ASSERT_EQ(res.app.errors, 0u);
   check_golden("ext_app_allreduce_shm", res.stats_json);
@@ -202,9 +146,9 @@ TEST(GoldenStats, ExtAppAllreduceShm) {
 TEST(GoldenStats, ExtAppKvReliable) {
   test::AppRunSpec spec;
   spec.app = test::AppKind::kKv;
-  spec.transport = app::TransportKind::kReliable;
+  spec.world.transport = app::TransportKind::kReliable;
   spec.kv.requests = 16;
-  const auto res = test::run_app_and_dump_stats(spec);
+  const auto res = test::run_and_dump_stats(spec);
   ASSERT_TRUE(res.completed);
   ASSERT_EQ(res.app.errors, 0u);
   check_golden("ext_app_kv_reliable", res.stats_json);

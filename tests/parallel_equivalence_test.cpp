@@ -15,38 +15,13 @@ namespace sv {
 namespace {
 
 constexpr std::size_t kTraceCapacity = 1u << 19;
-const unsigned kThreadSweep[] = {1, 2, 4};
 const std::uint64_t kSeeds[] = {sim::Rng::kDefaultSeed,
                                 sim::Rng::kDefaultSeed + 1, 0xfeedbeef};
 
-/// Run `spec` sequentially, then at each swept thread count, and require
-/// byte-identical stats and span dumps. The spec's net must be kIdeal
-/// (partitioning requires it) and its tracer must be big enough that
-/// nothing is dropped — a wrapped ring would hide divergence.
 void expect_bit_identical_across_threads(test::RunSpec spec) {
   spec.net = sys::Machine::NetKind::kIdeal;
   spec.trace_capacity = kTraceCapacity;
-
-  spec.threads = 0;
-  const test::RunResult seq = test::run_machine_and_dump_stats(spec);
-  ASSERT_TRUE(seq.completed);
-  ASSERT_EQ(seq.trace_dropped, 0u)
-      << "trace ring wrapped; grow kTraceCapacity so the comparison is "
-         "complete";
-  ASSERT_FALSE(seq.stats_json.empty());
-  ASSERT_FALSE(seq.span_dump.empty());
-
-  for (const unsigned threads : kThreadSweep) {
-    spec.threads = threads;
-    const test::RunResult par = test::run_machine_and_dump_stats(spec);
-    ASSERT_TRUE(par.completed) << "threads=" << threads;
-    EXPECT_EQ(par.trace_dropped, 0u) << "threads=" << threads;
-    EXPECT_EQ(par.end_time, seq.end_time) << "threads=" << threads;
-    EXPECT_EQ(par.stats_json, seq.stats_json)
-        << "stats diverged at threads=" << threads;
-    EXPECT_EQ(par.span_dump, seq.span_dump)
-        << "trace spans diverged at threads=" << threads;
-  }
+  test::expect_bit_identical_across_threads(spec);
 }
 
 fault::Plan corrupt_only_plan(std::uint64_t seed) {

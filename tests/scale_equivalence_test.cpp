@@ -19,23 +19,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "sim/crc32.hpp"
-#include "tests/app_util.hpp"
 #include "tests/test_util.hpp"
 
 namespace sv {
 namespace {
 
 constexpr std::size_t kTraceCapacity = 1u << 20;
-
-std::string golden_path(const std::string& name) {
-  return std::string(SV_GOLDEN_DIR) + "/" + name + ".golden";
-}
 
 /// The pinned artifact: the full stats JSON followed by one trailer line
 /// carrying the crc32 of the canonical trace-span dump. The span dump
@@ -50,46 +43,18 @@ std::string artifact(const std::string& stats_json,
   return stats_json + trailer;
 }
 
+/// Compare with the golden entry for `name`. In regeneration runs only the
+/// canonical cell (threads=0, fastpath on) writes; the other sweep cells
+/// then verify against what it wrote.
 void check_against_golden(const std::string& name, const std::string& actual,
                           const std::string& context) {
-  ASSERT_FALSE(actual.empty()) << name;
-  const std::string path = golden_path(name);
-  if (std::getenv("SV_GOLDEN_WRITE") != nullptr) {
-    // Only the canonical cell (threads=0, fastpath on) writes; the other
-    // sweep cells then verify against what it wrote, even in regen runs.
-    if (context == "canonical") {
-      std::ofstream os(path);
-      ASSERT_TRUE(os) << "cannot write " << path;
-      os << actual;
-      ASSERT_TRUE(os.good()) << "write failed for " << path;
-      return;
-    }
-  }
-  std::ifstream is(path);
-  ASSERT_TRUE(is) << "missing golden file " << path
-                  << " — regenerate with SV_GOLDEN_WRITE=1 "
-                     "./scale_equivalence_test";
-  std::stringstream buf;
-  buf << is.rdbuf();
-  const std::string expected = buf.str();
-  if (actual == expected) {
-    return;
-  }
-  std::size_t diff = 0;
-  while (diff < actual.size() && diff < expected.size() &&
-         actual[diff] == expected[diff]) {
-    ++diff;
-  }
-  const auto excerpt = [&](const std::string& s) {
-    const std::size_t from = diff < 40 ? 0 : diff - 40;
-    return s.substr(from, 80);
-  };
-  FAIL() << "scale equivalence broken for '" << name << "' at " << context
-         << "\n  first divergence at byte " << diff << ":\n  golden: ..."
-         << excerpt(expected) << "...\n  actual: ..." << excerpt(actual)
-         << "...\nThe scale optimizations must be byte-invisible at small "
-            "node counts. If the change is intentional, regenerate with "
-            "SV_GOLDEN_WRITE=1 ./scale_equivalence_test and commit.";
+  test::expect_golden(
+      std::string(SV_GOLDEN_DIR) + "/" + name + ".golden", actual,
+      context == "canonical",
+      "scale equivalence broken at " + context +
+          ": the scale optimizations must be byte-invisible at small node "
+          "counts. If the change is intentional, regenerate with "
+          "SV_GOLDEN_WRITE=1 ./scale_equivalence_test and commit.");
 }
 
 struct SweepCell {
@@ -128,7 +93,7 @@ void sweep_machine_workload(test::Workload wl, const char* wl_name,
     spec.bytes = 32;
     spec.ops = ops;
     spec.trace_capacity = kTraceCapacity;
-    const test::RunResult res = test::run_machine_and_dump_stats(spec);
+    const test::RunResult res = test::run_and_dump_stats(spec);
     ASSERT_TRUE(res.completed);
     ASSERT_EQ(res.trace_dropped, 0u)
         << "trace ring wrapped; the span digest would be incomplete";
@@ -143,7 +108,7 @@ void sweep_stencil(std::size_t nodes) {
     SCOPED_TRACE(golden + " " + cell_name(cell));
     test::AppRunSpec spec;
     spec.app = test::AppKind::kStencil;
-    spec.transport = app::TransportKind::kMsg;
+    spec.world.transport = app::TransportKind::kMsg;
     spec.nodes = nodes;
     spec.threads = cell.threads;
     spec.fastpath = cell.fastpath;
@@ -153,7 +118,7 @@ void sweep_stencil(std::size_t nodes) {
     // The stencil produces far more spans than the raw-mechanism
     // workloads; the sequential machine holds all of them in one ring.
     spec.trace_capacity = 4 * kTraceCapacity;
-    const test::AppRunResult res = test::run_app_and_dump_stats(spec);
+    const test::RunResult res = test::run_and_dump_stats(spec);
     ASSERT_TRUE(res.completed);
     ASSERT_EQ(res.trace_dropped, 0u);
     check_against_golden(golden, artifact(res.stats_json, res.span_dump),

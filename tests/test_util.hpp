@@ -1,18 +1,23 @@
 // Shared test helpers: small-machine factories, kernel-driving utilities
 // and a canonical "run a workload, dump its stats" harness used by the
-// golden corpus and the parallel-equivalence sweep.
+// golden corpus and the equivalence sweeps, for the canonical workloads
+// (RunSpec) and the shipped applications (AppRunSpec) alike.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "msg/reliable.hpp"
-#include "shm/scoma_region.hpp"
+#include "app/workloads.hpp"
+#include "ckpt/capture.hpp"
+#include "sim/crc32.hpp"
 #include "sim/fastpath.hpp"
 #include "sys/experiment.hpp"
 #include "sys/machine.hpp"
@@ -66,6 +71,46 @@ inline void expect_network_conserves(sys::Machine& machine,
       << " unaccounted=" << a.in_flight();
 }
 
+/// Compare `actual` with the committed golden file at `path`, or rewrite
+/// the file when SV_GOLDEN_WRITE is set and `may_write`. A mismatch fails
+/// with both crc32s, the first diverging byte in context, and `what` (the
+/// entry, and how to regenerate it).
+inline void expect_golden(const std::string& path, const std::string& actual,
+                          bool may_write, const std::string& what) {
+  ASSERT_FALSE(actual.empty()) << path;
+  if (may_write && std::getenv("SV_GOLDEN_WRITE") != nullptr) {
+    std::ofstream os(path);
+    ASSERT_TRUE(os) << "cannot write " << path;
+    os << actual;
+    ASSERT_TRUE(os.good()) << "write failed for " << path;
+    return;
+  }
+  std::ifstream is(path);
+  ASSERT_TRUE(is) << "missing golden file " << path << "; " << what;
+  std::stringstream buf;
+  buf << is.rdbuf();
+  const std::string expected = buf.str();
+  if (actual == expected) {
+    return;
+  }
+  std::size_t diff = 0;
+  while (diff < actual.size() && diff < expected.size() &&
+         actual[diff] == expected[diff]) {
+    ++diff;
+  }
+  const auto excerpt = [&](const std::string& s) {
+    return s.substr(diff < 40 ? 0 : diff - 40, 80);
+  };
+  const auto crc = [](const std::string& s) {
+    return sim::crc32(std::as_bytes(std::span(s.data(), s.size())));
+  };
+  FAIL() << "output drifted from " << path << "\n  expected crc32="
+         << std::hex << crc(expected) << " actual crc32=" << crc(actual)
+         << std::dec << "\n  first divergence at byte " << diff
+         << ":\n  golden: ..." << excerpt(expected) << "...\n  actual: ..."
+         << excerpt(actual) << "...\n" << what;
+}
+
 inline std::vector<std::byte> pattern_bytes(std::size_t n,
                                             std::uint8_t seed = 1) {
   std::vector<std::byte> v(n);
@@ -76,17 +121,12 @@ inline std::vector<std::byte> pattern_bytes(std::size_t n,
 }
 
 // ---------------------------------------------------------------------------
-// Canonical workload harness (golden corpus + parallel-equivalence sweep)
+// Canonical workload harness (golden corpus + parallel-equivalence sweep).
+// The workloads themselves are the ones svsim runs (app/workloads.hpp).
 // ---------------------------------------------------------------------------
 
-enum class Workload {
-  kMsg,       ///< all-to-all Basic messaging, one driver per node
-  kShm,       ///< S-COMA load/store contention on a few shared words
-  kReliable,  ///< ReliableChannel ring (survives drop/overflow faults)
-};
-
-struct RunSpec {
-  Workload workload = Workload::kMsg;
+/// What every harness run shares: the machine and how it is driven.
+struct MachineSpec {
   std::size_t nodes = 4;
   unsigned threads = 0;  ///< 0 = sequential single-domain machine
   sys::Machine::NetKind net = sys::Machine::NetKind::kIdeal;
@@ -96,28 +136,51 @@ struct RunSpec {
   /// assert byte-identity within one process.
   bool fastpath = sim::fastpath_default();
 
+  std::size_t trace_capacity = 0;  ///< >0 attaches tracers, captures spans
+  sim::Tick deadline = 2000 * sim::kMillisecond;
+  bool check_conservation = true;
+
+  [[nodiscard]] sys::Machine::Params machine_params() const {
+    auto mp = small_machine_params(nodes, net);
+    mp.threads = threads;
+    mp.fault = fault;
+    mp.node.bus.fastpath = fastpath;
+    return mp;
+  }
+};
+
+enum class Workload {
+  kMsg,       ///< all-to-all Basic messaging, one driver per node
+  kShm,       ///< S-COMA load/store contention on a few shared words
+  kReliable,  ///< ReliableChannel ring (survives drop/overflow faults)
+};
+
+struct RunSpec : MachineSpec {
+  Workload workload = Workload::kMsg;
+
   std::uint64_t count = 20;  ///< messages per node (kMsg / kReliable)
   std::uint64_t bytes = 32;  ///< payload bytes per message
   std::uint64_t ops = 60;    ///< loads+stores per node (kShm)
   std::uint64_t seed = 42;   ///< base seed for kShm access streams
 
-  // ReliableChannel knobs (kReliable only).
-  std::size_t window = 16;
-  sim::Tick retransmit_timeout = 20 * sim::kMicrosecond;
-  unsigned give_up_after = 8;
-
-  std::size_t trace_capacity = 0;  ///< >0 attaches tracers, captures spans
-  sim::Tick deadline = 2000 * sim::kMillisecond;
-  bool check_conservation = true;
+  /// kReliable only.
+  msg::ReliableChannel::Params channel{
+      .retransmit = {.base_timeout = 20 * sim::kMicrosecond}};
 };
+
+using AppKind = app::AppKind;
+
+/// One of the shipped applications over a chosen transport.
+struct AppRunSpec : MachineSpec, app::AppWorkload {};
 
 struct RunResult {
   bool completed = false;
   sim::Tick end_time = 0;    ///< machine.now() after the run (and drain)
-  std::string stats_json;    ///< sys::dump_stats_json of the whole machine
+  std::string stats_json;    ///< machine stats (+ app.* counters), one object
   std::string span_dump;     ///< trace::canonical_span_dump (tracing only)
   std::uint64_t trace_dropped = 0;
   fault::Stats fault_stats;  ///< zeroes when the plan created no injector
+  app::AppResult app;        ///< app workloads only
   // Mode-variant engagement counters, deliberately outside stats_json.
   std::uint64_t fast_hits = 0;  ///< bus bypass completions, all nodes
   std::uint64_t executed = 0;   ///< host events dispatched
@@ -132,176 +195,81 @@ inline std::uint64_t fast_path_hits(sys::Machine& machine) {
   return hits;
 }
 
-namespace detail {
-
-inline void start_msg_drivers(sys::Machine& machine, const RunSpec& spec,
-                              std::vector<std::unique_ptr<msg::Endpoint>>& eps,
-                              std::vector<std::uint8_t>& done) {
-  const auto map = machine.addr_map();
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    eps.push_back(std::make_unique<msg::Endpoint>(
-        machine.node(n).ap(), machine.node(n).endpoint_config()));
+/// Start the drivers `spec` names; the test shm workload is svsim's scoma
+/// workload on 8 words.
+inline std::unique_ptr<app::WorkloadRun> start_workload(sys::Machine& machine,
+                                                        const RunSpec& spec) {
+  switch (spec.workload) {
+    case Workload::kMsg: {
+      app::MsgWorkload w;
+      w.count = spec.count;
+      w.bytes = spec.bytes;
+      return w.start(machine);
+    }
+    case Workload::kShm: {
+      app::ShmWorkload w;
+      w.ops = spec.ops;
+      w.words = 8;
+      w.seed = spec.seed;
+      return w.start(machine);
+    }
+    case Workload::kReliable:
+      break;
   }
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    machine.node(n).ap().run(
-        [](msg::Endpoint* ep, msg::AddressMap map_, sim::NodeId self,
-           std::size_t nodes, std::uint64_t count, std::uint64_t bytes,
-           std::uint8_t* flag) -> sim::Co<void> {
-          std::vector<std::byte> payload(bytes);
-          for (std::uint64_t i = 0; i < count; ++i) {
-            const auto dst = static_cast<sim::NodeId>(
-                (self + 1 + i % (nodes - 1)) % nodes);
-            co_await ep->send(map_.user0(dst), payload);
-          }
-          for (std::uint64_t i = 0; i < count; ++i) {
-            (void)co_await ep->recv();
-          }
-          *flag = 1;
-        }(eps[n].get(), map, n, machine.size(), spec.count, spec.bytes,
-          &done[n]));
-  }
+  app::RingWorkload w;
+  w.count = spec.count;
+  w.bytes = spec.bytes;
+  w.channel = spec.channel;
+  return w.start(machine);
 }
 
-inline void start_shm_drivers(sys::Machine& machine, const RunSpec& spec,
-                              std::vector<std::uint8_t>& done) {
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    machine.node(n).ap().run(
-        [](sys::Node* node, std::uint64_t ops, std::uint64_t seed,
-           std::uint8_t* flag) -> sim::Co<void> {
-          // Every node hammers the same few shared words from its own
-          // processor — the cross-node sharing the coherence protocol
-          // exists for — with a private, seed-derived access stream.
-          sim::Rng rng(seed);
-          shm::ScomaRegion region(node->ap());
-          for (std::uint64_t i = 0; i < ops; ++i) {
-            const mem::Addr off = 0x1000 + rng.below(8) * 64;
-            if (rng.chance(0.5)) {
-              co_await region.store<std::uint32_t>(
-                  off, static_cast<std::uint32_t>(i));
-            } else {
-              (void)co_await region.load<std::uint32_t>(off);
-            }
-          }
-          *flag = 1;
-        }(&machine.node(n), spec.ops,
-          spec.seed ^ (0x9e3779b97f4a7c15ull * (n + 1)), &done[n]));
-  }
+inline std::unique_ptr<app::WorkloadRun> start_workload(
+    sys::Machine& machine, const AppRunSpec& spec) {
+  return spec.start(machine);
 }
 
-inline void start_reliable_drivers(
-    sys::Machine& machine, const RunSpec& spec,
-    std::vector<std::unique_ptr<msg::Endpoint>>& eps,
-    std::vector<std::unique_ptr<msg::ReliableChannel>>& chans,
-    std::vector<std::uint8_t>& done) {
-  const auto map = machine.addr_map();
-  msg::ReliableChannel::Params cp;
-  cp.window = spec.window;
-  cp.retransmit.base_timeout = spec.retransmit_timeout;
-  cp.retransmit.give_up_after = spec.give_up_after;
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    eps.push_back(std::make_unique<msg::Endpoint>(
-        machine.node(n).ap(), machine.node(n).endpoint_config()));
-    chans.push_back(
-        std::make_unique<msg::ReliableChannel>(*eps[n], map, n, cp));
-    chans[n]->start();
-  }
-  for (sim::NodeId n = 0; n < machine.size(); ++n) {
-    machine.node(n).ap().run(
-        [](msg::ReliableChannel* ch, sim::NodeId self, std::size_t nodes,
-           std::uint64_t count, std::uint64_t bytes,
-           std::uint8_t* flag) -> sim::Co<void> {
-          const auto right = static_cast<sim::NodeId>((self + 1) % nodes);
-          const auto left =
-              static_cast<sim::NodeId>((self + nodes - 1) % nodes);
-          for (std::uint64_t i = 0; i < count; ++i) {
-            std::vector<std::byte> payload(bytes);
-            for (std::size_t b = 0; b < payload.size(); ++b) {
-              payload[b] = static_cast<std::byte>(self + i + b);
-            }
-            co_await ch->send(right, payload);
-          }
-          for (std::uint64_t i = 0; i < count; ++i) {
-            (void)co_await ch->recv(left);
-          }
-          *flag = 1;
-        }(chans[n].get(), n, machine.size(), spec.count, spec.bytes,
-          &done[n]));
-  }
-}
-
-}  // namespace detail
-
-/// Build a machine for `spec`, start one driver coroutine per node, run to
-/// completion in whole lookahead epochs and return the machine-wide stats
-/// JSON (plus the canonical trace-span dump when tracing is on).
+/// Build a machine for `spec`, start its drivers, run to completion in
+/// whole lookahead epochs and return the stats JSON (machine plus app.*
+/// counters, plus the canonical trace-span dump when tracing is on).
 ///
 /// The drivers are partition-safe by construction: every completion flag,
 /// endpoint, channel and region is owned by exactly one node's domain, and
-/// the run is driven through Machine::run_epochs_until. The identical
-/// RunSpec therefore produces a byte-identical RunResult at every
+/// the run is driven through Machine::run_epochs_until. The identical spec
+/// therefore produces a byte-identical RunResult at every
 /// Params::threads value — that equivalence is what
 /// parallel_equivalence_test asserts and golden_test pins over time.
-inline RunResult run_machine_and_dump_stats(const RunSpec& spec) {
-  auto mp = small_machine_params(spec.nodes, spec.net);
-  mp.threads = spec.threads;
-  mp.fault = spec.fault;
-  mp.node.bus.fastpath = spec.fastpath;
-  sys::Machine machine(mp);
+template <typename Spec>
+RunResult run_and_dump_stats(const Spec& spec) {
+  sys::Machine machine(spec.machine_params());
   if (spec.trace_capacity > 0) {
     machine.enable_tracing(spec.trace_capacity);
   }
-
-  std::vector<std::unique_ptr<msg::Endpoint>> eps;
-  std::vector<std::unique_ptr<msg::ReliableChannel>> chans;
-  std::vector<std::uint8_t> done(machine.size(), 0);
-  switch (spec.workload) {
-    case Workload::kMsg:
-      detail::start_msg_drivers(machine, spec, eps, done);
-      break;
-    case Workload::kShm:
-      detail::start_shm_drivers(machine, spec, done);
-      break;
-    case Workload::kReliable:
-      detail::start_reliable_drivers(machine, spec, eps, chans, done);
-      break;
-  }
+  const auto run = start_workload(machine, spec);
 
   // Completion is evaluated at epoch boundaries only (workers parked), so
   // reading the per-node flags and channel state here is race-free and the
   // stop boundary is the same whatever the thread count. Reliable runs
   // additionally wait for empty retransmit windows and balanced books —
   // tail ACKs are droppable too.
-  const auto all_done = [&] {
-    for (const auto f : done) {
-      if (f == 0) {
-        return false;
-      }
-    }
-    for (const auto& ch : chans) {
-      if (ch->unacked() != 0) {
-        return false;
-      }
-    }
-    return chans.empty() || machine.network().audit().balanced();
+  const auto quiet = [&] {
+    return run->finished() && run->unacked() == 0 &&
+           (run->channels.empty() || machine.network().audit().balanced());
   };
 
   RunResult res;
-  res.completed =
-      sys::run_until(machine, all_done, machine.now() + spec.deadline);
+  res.completed = sys::run_until(machine, quiet, machine.now() + spec.deadline);
   EXPECT_TRUE(res.completed)
       << "workload timed out at " << machine.now() << " ps";
-
-  if (spec.workload == Workload::kReliable && res.completed) {
-    for (const auto& ch : chans) {
-      EXPECT_EQ(ch->stats().payloads_delivered.value(), spec.count);
-      EXPECT_EQ(ch->unacked(), 0u);
+  if (res.completed) {
+    EXPECT_EQ(run->violation(), "");
+    for (const auto& ch : run->channels) {
       for (sim::NodeId peer = 0; peer < machine.size(); ++peer) {
         EXPECT_FALSE(ch->failed(peer));
       }
     }
-  }
-  if (spec.check_conservation && res.completed) {
-    expect_network_conserves(machine);
+    if (spec.check_conservation) {
+      expect_network_conserves(machine);
+    }
   }
 
   res.end_time = machine.now();
@@ -310,8 +278,11 @@ inline RunResult run_machine_and_dump_stats(const RunSpec& spec) {
   if (machine.fault_injector() != nullptr) {
     res.fault_stats = machine.fault_injector()->stats();
   }
+  res.app = run->app;
+  auto reg = sys::collect_stats(machine);
+  run->add_stats(reg);
   std::ostringstream os;
-  sys::dump_stats_json(machine, os);
+  reg.dump_json(os);
   res.stats_json = os.str();
   if (spec.trace_capacity > 0) {
     const auto trs = machine.tracers();
@@ -322,5 +293,103 @@ inline RunResult run_machine_and_dump_stats(const RunSpec& spec) {
   }
   return res;
 }
+
+/// Run `spec` sequentially, then at 1, 2 and 4 threads, and require the
+/// same end time, app result, stats JSON and span dump every time. The
+/// spec must use the ideal network (partitioning needs it) and a tracer
+/// big enough that nothing is dropped — a wrapped ring would hide
+/// divergence.
+template <typename Spec>
+void expect_bit_identical_across_threads(Spec spec) {
+  spec.threads = 0;
+  const RunResult seq = run_and_dump_stats(spec);
+  ASSERT_TRUE(seq.completed);
+  ASSERT_EQ(seq.trace_dropped, 0u)
+      << "trace ring wrapped; grow the trace capacity so the comparison is "
+         "complete";
+  ASSERT_FALSE(seq.stats_json.empty());
+  ASSERT_FALSE(seq.span_dump.empty());
+  EXPECT_EQ(seq.app.errors, 0u);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    spec.threads = threads;
+    const RunResult par = run_and_dump_stats(spec);
+    ASSERT_TRUE(par.completed) << "threads=" << threads;
+    EXPECT_EQ(par.trace_dropped, 0u) << "threads=" << threads;
+    EXPECT_EQ(par.end_time, seq.end_time) << "threads=" << threads;
+    EXPECT_EQ(par.app.checksum, seq.app.checksum) << "threads=" << threads;
+    EXPECT_EQ(par.app.ops, seq.app.ops) << "threads=" << threads;
+    EXPECT_EQ(par.stats_json, seq.stats_json)
+        << "stats diverged at threads=" << threads;
+    EXPECT_EQ(par.span_dump, seq.span_dump)
+        << "trace spans diverged at threads=" << threads;
+  }
+}
+
+/// Run `spec` with the bus bypass on, then off, and require the same end
+/// time, app result and stats JSON: the bypass must be timing-invisible
+/// (DESIGN.md §12). Returns {fast, slow} for mode-specific checks.
+template <typename Spec>
+std::pair<RunResult, RunResult> expect_fastpath_invisible(Spec spec) {
+  spec.fastpath = true;
+  RunResult fast = run_and_dump_stats(spec);
+  spec.fastpath = false;
+  RunResult slow = run_and_dump_stats(spec);
+  EXPECT_TRUE(fast.completed && slow.completed);
+  EXPECT_EQ(fast.app.errors, 0u);
+  EXPECT_EQ(slow.end_time, fast.end_time);
+  EXPECT_EQ(slow.app.checksum, fast.app.checksum);
+  EXPECT_EQ(slow.app.ops, fast.app.ops);
+  EXPECT_EQ(slow.stats_json, fast.stats_json)
+      << "the bus bypass must be timing-invisible";
+  return {std::move(fast), std::move(slow)};
+}
+
+/// A RunSpec or AppRunSpec run whose caller drives time, so the checkpoint
+/// tests can capture it mid-flight, replay a second run to the same
+/// boundary and byte-compare the snapshots — the restore contract of
+/// DESIGN.md §14. App captures include the "app" chunk.
+struct SteppableRun {
+  sys::Machine machine;
+  std::unique_ptr<app::WorkloadRun> run;
+
+  template <typename Spec>
+  explicit SteppableRun(const Spec& spec) : machine(spec.machine_params()) {
+    if (spec.trace_capacity > 0) {
+      machine.enable_tracing(spec.trace_capacity);
+    }
+    run = start_workload(machine, spec);
+  }
+
+  [[nodiscard]] bool finished() const {
+    return run->finished() && run->unacked() == 0;
+  }
+
+  /// Drive to the first epoch boundary at/after `target` and capture.
+  [[nodiscard]] ckpt::Snapshot capture_at(
+      sim::Tick target, sim::Tick deadline = 2000 * sim::kMillisecond) {
+    ckpt::run_to_tick(machine, target, machine.now() + deadline);
+    return ckpt::capture(machine, run->world ? "app-run" : "run",
+                         run->world.get());
+  }
+
+  void finish(sim::Tick deadline = 2000 * sim::kMillisecond) {
+    ASSERT_TRUE(sys::run_until(machine, [&] { return finished(); },
+                               machine.now() + deadline))
+        << "workload timed out at " << machine.now() << " ps";
+  }
+
+  [[nodiscard]] std::string stats_json() {
+    auto reg = sys::collect_stats(machine);
+    run->add_stats(reg);
+    std::ostringstream os;
+    reg.dump_json(os);
+    return os.str();
+  }
+
+  /// Canonical trace-span dump (tracing-enabled specs only).
+  [[nodiscard]] std::string span_dump() const {
+    return trace::canonical_span_dump(machine.tracers());
+  }
+};
 
 }  // namespace sv::test

@@ -21,13 +21,15 @@
 // Keys (standalone mode): nodes count bytes window timeout_us give_up
 //   deadline_ms fault_seed — the ring spec; and the search bounds
 //   max_drops (default 2) max_opportunities (0 = observed horizon)
-//   max_runs (default 2000).
+//   max_runs (default 2000). A key svexplore does not read (a typo such as
+//   cuont=5, or a ring key next to --snapshot=) is an error, exit code 2.
 //
 // write_snapshot=FILE at=TICK: instead of exploring, run the fault-free
 // ring to the first epoch boundary at/after TICK, write the checkpoint
 // (the file --snapshot= later consumes), and exit.
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,14 +59,23 @@ int main(int argc, char** argv) {
   }
 
   ckpt::ExploreParams ep;
-  ep.max_drops = static_cast<std::uint32_t>(cfg.get_u64("max_drops", 2));
-  ep.max_opportunities = cfg.get_u64("max_opportunities", 0);
-  ep.max_runs = cfg.get_u64("max_runs", 2000);
-
   try {
+    ep.max_drops =
+        static_cast<std::uint32_t>(cfg.get_u64_in("max_drops", 2, 0, 8));
+    ep.max_opportunities = cfg.get_u64("max_opportunities", 0);
+    ep.max_runs = cfg.get_u64("max_runs", 2000);
+    const std::string write_path = cfg.get_string("write_snapshot", "");
+    const sim::Tick at = cfg.get_u64("at", 0);
     ckpt::RingSpec spec;
     ckpt::Snapshot snap;
     const ckpt::Snapshot* resume = nullptr;
+    if (snapshot_path.empty()) {
+      spec = ckpt::RingSpec::from_keys(cfg);
+    }
+    // Every key svexplore understands has now been read.
+    if (const auto unread = cfg.unread_keys(); !unread.empty()) {
+      throw std::invalid_argument("unknown key '" + unread.front() + "'");
+    }
     if (!snapshot_path.empty()) {
       snap = ckpt::Snapshot::load_file(snapshot_path);
       spec = ckpt::RingSpec::from_config(snap.config);
@@ -72,21 +83,10 @@ int main(int argc, char** argv) {
       std::printf("svexplore: exploring from %s (tick %llu)\n",
                   snapshot_path.c_str(),
                   static_cast<unsigned long long>(snap.tick));
-    } else {
-      spec.nodes = cfg.get_u64("nodes", spec.nodes);
-      spec.count = cfg.get_u64("count", spec.count);
-      spec.bytes = cfg.get_u64("bytes", spec.bytes);
-      spec.window = cfg.get_u64("window", spec.window);
-      spec.timeout_us = cfg.get_u64("timeout_us", spec.timeout_us);
-      spec.give_up = cfg.get_u64("give_up", spec.give_up);
-      spec.deadline_ms = cfg.get_u64("deadline_ms", spec.deadline_ms);
-      spec.fault_seed = cfg.get_u64("fault_seed", spec.fault_seed);
     }
 
-    const std::string write_path = cfg.get_string("write_snapshot", "");
     if (!write_path.empty()) {
-      const ckpt::Snapshot out =
-          ckpt::checkpoint_reliable_ring(spec, cfg.get_u64("at", 0));
+      const ckpt::Snapshot out = ckpt::checkpoint_reliable_ring(spec, at);
       out.save_file(write_path);
       std::printf("svexplore: checkpoint at tick %llu (%zu chunks) -> %s\n",
                   static_cast<unsigned long long>(out.tick),
